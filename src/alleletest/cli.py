@@ -25,7 +25,8 @@ from .model import (
     population_summary,
     q_term,
 )
-from .stats import CORRECTION_DIRECTIONS, AlleleCounts, evaluate_counts
+from .stats import CORRECTION_DIRECTIONS, AlleleCounts, evaluate_arrays
+from .stats import evaluate_counts  # noqa: F401 (bench/tracing.py wraps it)
 
 __all__ = [
     "CountsFileError",
@@ -78,8 +79,9 @@ def parse_counts_file(path: str) -> list[tuple[str, AlleleCounts]]:
 
     Whitespace-separated columns ``marker_id case_m1 case_m2 ctrl_m1
     ctrl_m2``; ``#`` starts a comment line; the header row is required and
-    validated. Duplicate marker ids, negative counts, and odd group totals
-    are rejected with the offending line number.
+    validated. Duplicate marker ids, negative counts, odd group totals and
+    totals above ``stats.MAX_ALLELE_TOTAL`` are rejected with the offending line
+    number.
     """
     rows: list[tuple[str, AlleleCounts]] = []
     seen: set[str] = set()
@@ -225,17 +227,18 @@ def model_cmd(p1, pen, q1, delta, r, s):
 def _scan_rows(
     rows: list[tuple[str, AlleleCounts]], pi_hat: float, ci_level: float, direction: str
 ) -> Iterator[str]:
-    reports = [
-        (marker_id, evaluate_counts(counts, pi_hat, ci_level=ci_level, direction=direction))
-        for marker_id, counts in rows
-    ]
-    ranked = sorted(
-        (i for i, (_, rep) in enumerate(reports) if rep.w_stat is not None),
-        key=lambda i: -abs(reports[i][1].w_stat),
+    counts = np.array(
+        [(c.r1, c.r1 + c.r2, c.s1, c.s1 + c.s2) for _, c in rows], dtype=np.int64
     )
-    rank_of = {i: pos + 1 for pos, i in enumerate(ranked)}
+    arrays, reports = evaluate_arrays(
+        *counts.T, pi_hat, ci_level=ci_level, direction=direction
+    )
+    ranked = np.flatnonzero(~arrays.degenerate)
+    ranked = ranked[np.argsort(-np.abs(arrays.w[ranked]), kind="stable")]
+    rank = np.zeros(len(rows), dtype=np.int64)
+    rank[ranked] = np.arange(1, ranked.size + 1)
     yield "\t".join(SCAN_COLUMNS)
-    for i, (marker_id, rep) in enumerate(reports):
+    for (marker_id, _), rep, pos in zip(rows, reports, rank.tolist()):
         ci_lo, ci_hi = rep.effect_ci if rep.effect_ci is not None else (None, None)
         cells = [
             marker_id,
@@ -253,7 +256,7 @@ def _scan_rows(
             _fmt(ci_lo),
             _fmt(ci_hi),
             ";".join(rep.flags) if rep.flags else "ok",
-            str(rank_of[i]) if i in rank_of else "",
+            str(pos) if pos else "",
         ]
         yield "\t".join(cells)
 

@@ -40,6 +40,8 @@ __all__ = [
     "q_term",
     "q_term_variance_weighted",
     "population_summary",
+    "frequency_mixture",
+    "variance_mixture",
 ]
 
 # Slack for floating-point round-off at the exact feasibility boundary.
@@ -334,20 +336,14 @@ def q_term(
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lam must lie in (0, 1), got {lam!r}")
-    q1_case, q1_ctrl = summary.q1_case, summary.q1_ctrl
-    u_ctrl = q1_ctrl * (1.0 - q1_ctrl)
-    u_case = q1_case * (1.0 - q1_case)
-    # anchored mixtures are exact when case and control frequencies tie
-    g = u_case + lam * (u_ctrl - u_case)
+    g = variance_mixture(summary.q1_ctrl, summary.q1_case, lam)
     if delta_weight is None:
         q1 = summary.q1
         num = q1 * (1.0 - q1)
     else:
         if not 0.0 <= delta_weight <= 1.0:
             raise ValueError(f"delta_weight must lie in [0, 1], got {delta_weight!r}")
-        m1 = q1_ctrl + delta_weight * (q1_case - q1_ctrl)
-        m2 = (1.0 - q1_ctrl) + delta_weight * (q1_ctrl - q1_case)
-        num = m1 * m2
+        num = frequency_mixture(summary.q1_ctrl, summary.q1_case, delta_weight)
     return math.sqrt(num / g)
 
 
@@ -362,9 +358,25 @@ def q_term_variance_weighted(summary: PopulationSummary, delta_weight: float) ->
     """
     if not 0.0 <= delta_weight <= 1.0:
         raise ValueError(f"delta_weight must lie in [0, 1], got {delta_weight!r}")
-    q1_case, q1_ctrl = summary.q1_case, summary.q1_ctrl
-    u_ctrl = q1_ctrl * (1.0 - q1_ctrl)
-    u_case = q1_case * (1.0 - q1_case)
-    g = u_case + delta_weight * (u_ctrl - u_case)
+    g = variance_mixture(summary.q1_ctrl, summary.q1_case, delta_weight)
     q1 = summary.q1
     return math.sqrt(q1 * (1.0 - q1) / g)
+
+
+def frequency_mixture(q_ctrl, q_case, weight):
+    """Product ``m1*m2`` of the M1 and M2 frequencies mixed with ``weight`` on cases.
+
+    Anchored at the control value, so exact when the two frequencies tie
+    (t == w == 0, q_hat == 1). Arithmetic only: works on floats and arrays.
+    """
+    m1 = q_ctrl + weight * (q_case - q_ctrl)
+    m2 = (1.0 - q_ctrl) + weight * (q_ctrl - q_case)
+    return m1 * m2
+
+
+def variance_mixture(q_ctrl, q_case, weight):
+    """``weight*u_ctrl + (1-weight)*u_case`` with ``u = q*(1-q)``, anchored like
+    :func:`frequency_mixture`; the denominator of Q^2 and of ``q_hat^2``."""
+    u_ctrl = q_ctrl * (1.0 - q_ctrl)
+    u_case = q_case * (1.0 - q_case)
+    return u_case + weight * (u_ctrl - u_case)

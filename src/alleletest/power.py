@@ -27,9 +27,11 @@ from .model import (
     MarkerSpec,
     PenetranceModel,
     PopulationSummary,
+    frequency_mixture,
     population_summary,
     prevalence,
     q_term,
+    variance_mixture,
 )
 from .stats import two_sided_critical_value
 
@@ -120,12 +122,8 @@ def power_w_delta(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     summary = population_summary(model, marker)
     q1_case, q1_ctrl = summary.q1_case, summary.q1_ctrl
-    u_ctrl = q1_ctrl * (1.0 - q1_ctrl)
-    u_case = q1_case * (1.0 - q1_case)
-    g = u_case + design.lam * (u_ctrl - u_case)
-    m1 = q1_ctrl + delta_weight * (q1_case - q1_ctrl)
-    m2 = (1.0 - q1_ctrl) + delta_weight * (q1_ctrl - q1_case)
-    x = m1 * m2
+    g = variance_mixture(q1_ctrl, q1_case, design.lam)
+    x = frequency_mixture(q1_ctrl, q1_case, delta_weight)
     mu = math.sqrt(design.m) * (q1_ctrl - q1_case) / math.sqrt(x)
     sigma = math.sqrt(g / x)
     z = two_sided_critical_value(alpha)
@@ -215,33 +213,22 @@ def power_grid(
             try:
                 marker = MarkerSpec(q1=coord_q1, delta=coord_delta)
                 summary = population_summary(model, marker)
-            except (FeasibilityError, ValueError):
-                points.append(
-                    PowerPoint(
-                        q1=coord_q1,
-                        delta=coord_delta,
-                        delta_weight=eff_dw,
-                        pi_hat=eff_pi,
-                        alpha=alpha,
-                        power_t=None,
-                        power_w=None,
-                        power_w_delta=None,
-                        power_u=None,
-                        feasible=False,
-                    )
-                )
-                continue
-            q_ratio = q_term(summary, design.lam)
-            m = design.m
-            p_t = power_t(m, summary.b, coord_delta, q_ratio, alpha)
-            if pi_hat is None:
-                p_w = power_w(m, summary.b, coord_delta, q_ratio, alpha)
+            except FeasibilityError:
+                feasible = False
+                p_t = p_w = p_wd = p_u = None
             else:
-                # A misspecified prevalence estimate turns W into the
-                # mixed-weight statistic with that weight.
-                p_w = power_w_delta(model, marker, design, eff_pi, alpha)
-            p_wd = power_w_delta(model, marker, design, eff_dw, alpha)
-            p_u = power_u(m, summary.b, coord_delta, q_ratio, alpha)
+                feasible = True
+                q_ratio = q_term(summary, design.lam)
+                m = design.m
+                p_t = power_t(m, summary.b, coord_delta, q_ratio, alpha)
+                if pi_hat is None:
+                    p_w = power_w(m, summary.b, coord_delta, q_ratio, alpha)
+                else:
+                    # A misspecified prevalence estimate turns W into the
+                    # mixed-weight statistic with that weight.
+                    p_w = power_w_delta(model, marker, design, eff_pi, alpha)
+                p_wd = power_w_delta(model, marker, design, eff_dw, alpha)
+                p_u = power_u(m, summary.b, coord_delta, q_ratio, alpha)
             points.append(
                 PowerPoint(
                     q1=coord_q1,
@@ -253,7 +240,7 @@ def power_grid(
                     power_w=p_w,
                     power_w_delta=p_wd,
                     power_u=p_u,
-                    feasible=True,
+                    feasible=feasible,
                 )
             )
     return points

@@ -44,7 +44,8 @@ from .model import (
 from .stats import (
     CORRECTION_DIRECTIONS,
     AlleleCounts,
-    continuity_correction,
+    StatArrays,
+    statistic_arrays,
     two_sided_critical_value,
 )
 
@@ -73,7 +74,6 @@ ALL_TESTS = BASE_TESTS + DELTA_TESTS
 MODES = ("allele", "genotype")
 
 _BLOCK = 1 << 16
-_MASK64 = (1 << 64) - 1
 _RNG_DESCRIPTION = f"philox4x64 keyed by (seed, block), block size {_BLOCK}"
 
 
@@ -109,6 +109,8 @@ class SimConfig:
         object.__setattr__(self, "tests", tuple(self.tests))
         if not 0.0 < self.pi_hat < 1.0:
             raise ValueError(f"pi_hat must lie in (0, 1), got {self.pi_hat!r}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications!r}")
         if not self.alphas:
@@ -250,7 +252,7 @@ class GenotypeDistributions:
 
 def _stream(seed: int, block: int) -> np.random.Generator:
     """Counter-based stream for one replication block."""
-    key = np.array([seed & _MASK64, block & _MASK64], dtype=np.uint64)
+    key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -382,75 +384,24 @@ def _labels(config: SimConfig) -> list[tuple[str, float | None]]:
     return out
 
 
-def _stat_arrays(
-    r1: np.ndarray,
-    s1: np.ndarray,
-    config: SimConfig,
-    labels: list[tuple[str, float | None]],
-    want_q_hat: bool = False,
-) -> tuple[dict[tuple[str, float | None], np.ndarray], np.ndarray, np.ndarray | None]:
-    """Vectorized statistics for one block; degenerate replicates become NaN.
+def _block_stats(
+    config: SimConfig, sampler: _Sampler, block: int, size: int, weights
+) -> StatArrays:
+    """Draw one block and evaluate it; degenerate replicates hold NaN."""
+    r1, s1 = sampler.draw(_stream(config.seed, block), size)
+    n1, n0 = sampler.r_alleles, sampler.s_alleles
+    direction = config.correction_direction
+    return statistic_arrays(r1, n1, s1, n0, config.pi_hat, weights, direction)
 
-    Mirrors the scalar formulas in :mod:`alleletest.stats` expression by
-    expression so the two routes agree to the last bit.
-    """
-    design = config.design
-    n1 = 2 * design.r_cases
-    n0 = 2 * design.s_controls
-    q_case = r1 / n1
-    q_ctrl = s1 / n0
-    deg = (r1 == 0) | (r1 == n1) | (s1 == 0) | (s1 == n0)
-    diff = q_ctrl - q_case
-    sqrt_m = math.sqrt(design.m)
-    lam = design.lam
-    names = {name for name, _ in labels}
-    out: dict[tuple[str, float | None], np.ndarray] = {}
-    q_hat_arr: np.ndarray | None = None
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u_ctrl = q_ctrl * (1.0 - q_ctrl)
-        u_case = q_case * (1.0 - q_case)
-        t = w = None
-        if "T" in names or "U" in names:
-            t = diff / np.sqrt(u_ctrl / n0 + u_case / n1)
-        if {"W", "U"} & names or want_q_hat:
-            # anchored mixture form, matching the scalar implementation
-            m1 = q_ctrl + config.pi_hat * (q_case - q_ctrl)
-            m2 = (1.0 - q_ctrl) + config.pi_hat * (q_ctrl - q_case)
-            w = sqrt_m * diff / np.sqrt(m1 * m2)
-            if "U" in names or want_q_hat:
-                g = u_case + lam * (u_ctrl - u_case)
-                q_hat_arr = np.sqrt(m1 * m2 / g)
-        diff_cor = None
-        if "W_cor" in names or "W_cor_delta" in names:
-            c = continuity_correction(design)
-            if config.correction_direction == "toward_zero":
-                diff_cor = np.sign(diff) * np.maximum(np.abs(diff) - c, 0.0)
-            else:
-                diff_cor = np.sign(diff) * (np.abs(diff) + c)
-        for name, dw in labels:
-            if name == "T":
-                arr = t
-            elif name == "W":
-                arr = w
-            elif name == "U":
-                arr = np.where(q_hat_arr > 1.0, t, w)
-            elif name == "W_cor":
-                m1 = q_ctrl + config.pi_hat * (q_case - q_ctrl)
-                m2 = (1.0 - q_ctrl) + config.pi_hat * (q_ctrl - q_case)
-                arr = sqrt_m * diff_cor / np.sqrt(m1 * m2)
-            else:
-                m1 = q_ctrl + dw * (q_case - q_ctrl)
-                m2 = (1.0 - q_ctrl) + dw * (q_ctrl - q_case)
-                num = diff if name == "W_delta" else diff_cor
-                arr = sqrt_m * num / np.sqrt(m1 * m2)
-            arr = np.array(arr, dtype=float, copy=True)
-            arr[deg] = np.nan
-            out[(name, dw)] = arr
-        if q_hat_arr is not None:
-            q_hat_arr = np.array(q_hat_arr, copy=True)
-            q_hat_arr[deg] = np.nan
-    return out, deg, q_hat_arr
+def _map_blocks(fn, blocks, workers: int) -> list:
+    """``fn(block, start, size)`` over ``blocks`` in order, on ``workers`` threads."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    if workers == 1:
+        return [fn(*blk) for blk in blocks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda blk: fn(*blk), blocks))
 
 
 def _tally_block(
@@ -461,21 +412,18 @@ def _tally_block(
     block: int,
     size: int,
 ) -> tuple[np.ndarray, int]:
-    gen = _stream(config.seed, block)
-    r1, s1 = sampler.draw(gen, size)
-    stats, deg, _ = _stat_arrays(r1, s1, config, labels)
+    arrays = _block_stats(config, sampler, block, size, config.delta_weights)
     rejections = np.zeros((len(labels), len(z_values)), dtype=np.int64)
-    for i, key in enumerate(labels):
-        magnitude = np.abs(stats[key])
+    for i, (test, dw) in enumerate(labels):
+        stat = getattr(arrays, test.lower())  # the StatArrays field of each test
+        magnitude = np.abs(stat if dw is None else stat[dw])
         for j, z in enumerate(z_values):
             # NaN (degenerate) never rejects.
             rejections[i, j] = int(np.count_nonzero(magnitude >= z))
-    return rejections, int(np.count_nonzero(deg))
+    return rejections, int(np.count_nonzero(arrays.degenerate))
 
 
 def _run(config: SimConfig, kind: str, workers: int) -> SimResult:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
     start = time.perf_counter()
     sampler = _make_sampler(config)
     labels = _labels(config)
@@ -486,25 +434,13 @@ def _run(config: SimConfig, kind: str, workers: int) -> SimResult:
     z_values = np.array([two_sided_critical_value(a) for a in config.alphas])
     total = np.zeros((len(labels), len(z_values)), dtype=np.int64)
     degenerate = 0
-    blocks = list(_blocks(config.replications))
-    if workers == 1:
-        results = (
-            _tally_block(config, sampler, labels, z_values, b, size)
-            for b, _, size in blocks
-        )
-        for rej, ndeg in results:
-            total += rej
-            degenerate += ndeg
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_tally_block, config, sampler, labels, z_values, b, size)
-                for b, _, size in blocks
-            ]
-            for fut in futures:
-                rej, ndeg = fut.result()
-                total += rej
-                degenerate += ndeg
+    for rej, ndeg in _map_blocks(
+        lambda b, _, size: _tally_block(config, sampler, labels, z_values, b, size),
+        _blocks(config.replications),
+        workers,
+    ):
+        total += rej
+        degenerate += ndeg
     cells = []
     n = config.replications
     for i, (test, dw) in enumerate(labels):
@@ -576,10 +512,7 @@ def null_distribution_sample(config: SimConfig, workers: int = 1) -> NullSample:
         raise SimulationConfigError(
             f"null sampling requires delta=0, got {config.marker.delta!r}"
         )
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
     sampler = _make_sampler(config)
-    labels = [("T", None), ("W", None), ("U", None)]
     n = config.replications
     t = np.empty(n)
     w = np.empty(n)
@@ -588,23 +521,13 @@ def null_distribution_sample(config: SimConfig, workers: int = 1) -> NullSample:
     deg = np.empty(n, dtype=bool)
 
     def fill(block: int, start: int, size: int) -> None:
-        gen = _stream(config.seed, block)
-        r1, s1 = sampler.draw(gen, size)
-        stats, dmask, q_arr = _stat_arrays(r1, s1, config, labels, want_q_hat=True)
+        arrays = _block_stats(config, sampler, block, size, ())
         sl = slice(start, start + size)
-        t[sl] = stats[("T", None)]
-        w[sl] = stats[("W", None)]
-        u[sl] = stats[("U", None)]
-        qh[sl] = q_arr
-        deg[sl] = dmask
+        t[sl] = arrays.t
+        w[sl] = arrays.w
+        u[sl] = arrays.u
+        qh[sl] = arrays.q_hat
+        deg[sl] = arrays.degenerate
 
-    blocks = list(_blocks(n))
-    if workers == 1:
-        for b, start, size in blocks:
-            fill(b, start, size)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fill, b, start, size) for b, start, size in blocks]
-            for fut in futures:
-                fut.result()
+    _map_blocks(fill, _blocks(n), workers)
     return NullSample(t=t, w=w, u=u, q_hat=qh, degenerate=deg)

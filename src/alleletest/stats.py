@@ -17,6 +17,7 @@ controls), this module computes:
 * ``u_statistic`` -- per-marker choice of T or W driven by the estimated
   variance ratio ``q_hat``.
 
+All of them call one array kernel, :func:`statistic_arrays`, on one table.
 The statistics are tied together by exact algebraic identities:
 ``w * q_hat == t`` and ``w_delta * q_hat_delta == t``, and ``|w| > |t|``
 exactly when ``q_hat < 1``. All functions are pure and thread-safe.
@@ -26,15 +27,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
+import numpy as np
 from scipy.special import ndtri
 
-from .model import DesignConstants
+from .model import DesignConstants, frequency_mixture, variance_mixture
 
 __all__ = [
     "DegenerateTableError",
     "AlleleCounts",
     "TestReport",
+    "StatArrays",
+    "statistic_arrays",
     "sample_freqs",
     "t_statistic",
     "w_statistic",
@@ -48,12 +53,16 @@ __all__ = [
     "two_sided_critical_value",
     "effect_size",
     "evaluate_counts",
+    "evaluate_arrays",
     "CORRECTION_DIRECTIONS",
+    "MAX_ALLELE_TOTAL",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 
 CORRECTION_DIRECTIONS = ("toward_zero", "away_from_zero")
+# Largest allele total whose counts and frequencies float64 holds exactly.
+MAX_ALLELE_TOTAL = 1 << 53
 
 
 class DegenerateTableError(ValueError):
@@ -66,7 +75,7 @@ class AlleleCounts:
 
     ``r1``/``r2`` are M1/M2 allele counts among cases, ``s1``/``s2`` among
     controls. Each group total is twice its individual count, so totals must
-    be even and at least 2.
+    be even and at least 2; they may not exceed ``MAX_ALLELE_TOTAL``.
     """
 
     r1: int
@@ -83,6 +92,10 @@ class AlleleCounts:
             if total < 2 or total % 2:
                 raise ValueError(
                     f"{label} allele total must be even and >= 2, got {total}"
+                )
+            if total > MAX_ALLELE_TOTAL:
+                raise ValueError(
+                    f"{label} allele total {total} exceeds {MAX_ALLELE_TOTAL}"
                 )
 
     @property
@@ -132,6 +145,89 @@ class TestReport:
     flags: tuple[str, ...] = ()
 
 
+class StatArrays(NamedTuple):
+    """Kernel output for a batch of allele tables, one entry per table.
+
+    Statistics are NaN where the table is degenerate. ``log_ratio_se`` is
+    the delta-method standard error of ``log(q_ctrl/q_case)``. ``w_delta``
+    and ``w_cor_delta`` map each delta weight to its array; they come last,
+    after the fields that hold one value per table.
+    """
+
+    q_ctrl: np.ndarray
+    q_case: np.ndarray
+    t: np.ndarray
+    w: np.ndarray
+    w_cor: np.ndarray
+    u: np.ndarray
+    q_hat: np.ndarray
+    log_ratio_se: np.ndarray
+    degenerate: np.ndarray
+    monomorphic: np.ndarray
+    w_delta: dict[float, np.ndarray]
+    w_cor_delta: dict[float, np.ndarray]
+
+
+def statistic_arrays(
+    r1, n1, s1, n0, pi_hat: float, delta_weights=(), direction: str = "toward_zero"
+) -> StatArrays:
+    """T, W, W_cor, U, q_hat, W_delta and W_cor_delta for many tables at once.
+
+    ``r1`` and ``s1`` are the M1 counts among cases and controls out of the
+    allele totals ``n1`` and ``n0`` (twice the group sizes), as ints or int
+    arrays that broadcast together. ``pi_hat`` weighs W, W_cor and q_hat;
+    each of ``delta_weights`` gives one W_delta and one W_cor_delta. Weights
+    are not range-checked here. Beyond exact sign and min/max steps only
+    ``+ - * /`` and ``sqrt`` are used, all correctly rounded in numpy as in
+    ``math``, so a table gets the same bits alone or in a batch.
+    """
+    if direction not in CORRECTION_DIRECTIONS:
+        raise ValueError(
+            f"direction must be one of {CORRECTION_DIRECTIONS}, got {direction!r}"
+        )
+    degenerate = (r1 == 0) | (r1 == n1) | (s1 == 0) | (s1 == n0)
+    r, s = n1 // 2, n0 // 2
+    sqrt_m = np.sqrt(2.0 * r * s / (r + s))
+    q_case = np.divide(r1, n1)  # a numpy float even for int arguments
+    q_ctrl = np.divide(s1, n0)
+    diff = q_ctrl - q_case
+    if direction == "toward_zero":
+        # Shrink the absolute difference, clamping at zero so the
+        # correction can never flip the sign.
+        diff_cor = np.sign(diff) * np.maximum(np.abs(diff) - _half_step(r, s), 0.0)
+    else:
+        diff_cor = np.sign(diff) * (np.abs(diff) + _half_step(r, s))
+
+    def defined(x):
+        return np.where(degenerate, np.nan, x)
+
+    def standardized(num, mixed):
+        return defined(sqrt_m * num / np.sqrt(mixed))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_hat = q_ctrl * (1.0 - q_ctrl) / n0 + q_case * (1.0 - q_case) / n1
+        t = defined(diff / np.sqrt(v_hat))
+        mixed = frequency_mixture(q_ctrl, q_case, pi_hat)
+        w = standardized(diff, mixed)
+        q_hat_ = defined(np.sqrt(mixed / variance_mixture(q_ctrl, q_case, r / (r + s))))
+        mixed_d = {dw: frequency_mixture(q_ctrl, q_case, dw) for dw in delta_weights}
+        var_log = (1.0 - q_ctrl) / (n0 * q_ctrl) + (1.0 - q_case) / (n1 * q_case)
+        return StatArrays(
+            q_ctrl=q_ctrl,
+            q_case=q_case,
+            t=t,
+            w=w,
+            w_cor=standardized(diff_cor, mixed),
+            u=np.where(q_hat_ > 1.0, t, w),
+            q_hat=q_hat_,
+            log_ratio_se=defined(np.sqrt(var_log)),
+            degenerate=degenerate,
+            monomorphic=(r1 + s1 == 0) | (r1 + s1 == n1 + n0),
+            w_delta={dw: standardized(diff, x) for dw, x in mixed_d.items()},
+            w_cor_delta={dw: standardized(diff_cor, x) for dw, x in mixed_d.items()},
+        )
+
+
 def _resolve_design(counts: AlleleCounts, design: DesignConstants | None) -> DesignConstants:
     derived = counts.design()
     if design is None:
@@ -162,24 +258,25 @@ def _check_delta_weight(delta_weight: float) -> None:
         raise ValueError(f"delta_weight must lie in [0, 1], got {delta_weight!r}")
 
 
+def _table_arrays(counts, design, weight, direction="toward_zero") -> StatArrays:
+    """Kernel output for one table, checked against ``design``."""
+    _resolve_design(counts, design)
+    n1, n0 = counts.r1 + counts.r2, counts.s1 + counts.s2
+    return statistic_arrays(counts.r1, n1, counts.s1, n0, weight, direction=direction)
+
+
+def _statistic(counts, design, weight, name, direction="toward_zero") -> float:
+    """Kernel output ``name`` for one non-degenerate table."""
+    _require_nondegenerate(counts)
+    return float(getattr(_table_arrays(counts, design, weight, direction), name))
+
+
 def sample_freqs(counts: AlleleCounts) -> tuple[float, float]:
     """Sample M1 frequencies ``(q_hat_ctrl, q_hat_case)``."""
     return (
         counts.s1 / (counts.s1 + counts.s2),
         counts.r1 / (counts.r1 + counts.r2),
     )
-
-
-def _mixture(q_ctrl: float, q_case: float, weight: float) -> tuple[float, float]:
-    """Weighted M1/M2 frequency mixtures, anchored at the control value.
-
-    Algebraically ``weight*q_case + (1-weight)*q_ctrl``; the anchored form is
-    exact when the two frequencies coincide, which keeps the tied-table
-    corner (t == w == 0, q_hat == 1) free of round-off.
-    """
-    m1 = q_ctrl + weight * (q_case - q_ctrl)
-    m2 = (1.0 - q_ctrl) + weight * (q_ctrl - q_case)
-    return m1, m2
 
 
 def t_statistic(counts: AlleleCounts, design: DesignConstants | None = None) -> float:
@@ -190,13 +287,7 @@ def t_statistic(counts: AlleleCounts, design: DesignConstants | None = None) -> 
     ``q*(1-q)/(2S) + q*(1-q)/(2R)``. Asymptotically standard normal under
     no association.
     """
-    _require_nondegenerate(counts)
-    design = _resolve_design(counts, design)
-    q_ctrl, q_case = sample_freqs(counts)
-    v_hat = q_ctrl * (1.0 - q_ctrl) / (2 * design.s_controls) + q_case * (
-        1.0 - q_case
-    ) / (2 * design.r_cases)
-    return (q_ctrl - q_case) / math.sqrt(v_hat)
+    return _statistic(counts, design, 0.5, "t")  # T does not use the weight
 
 
 def w_delta_statistic(
@@ -211,11 +302,7 @@ def w_delta_statistic(
     recovers :func:`w_statistic`.
     """
     _check_delta_weight(delta_weight)
-    _require_nondegenerate(counts)
-    design = _resolve_design(counts, design)
-    q_ctrl, q_case = sample_freqs(counts)
-    m1, m2 = _mixture(q_ctrl, q_case, delta_weight)
-    return math.sqrt(design.m) * (q_ctrl - q_case) / math.sqrt(m1 * m2)
+    return _statistic(counts, design, delta_weight, "w")
 
 
 def w_statistic(
@@ -232,22 +319,13 @@ def w_statistic(
     return w_delta_statistic(counts, pi_hat, design)
 
 
+def _half_step(r, s):
+    return 0.5 * np.minimum(r, s) / (2.0 * s * r)
+
+
 def continuity_correction(design: DesignConstants) -> float:
     """Half-lattice-step numerator shift, ``0.5 * min(S, R) / (2*S*R)``."""
-    r, s = design.r_cases, design.s_controls
-    return 0.5 * min(r, s) / (2.0 * s * r)
-
-
-def _corrected_difference(diff: float, c: float, direction: str) -> float:
-    if direction == "toward_zero":
-        # Shrink the absolute difference, clamping at zero so the
-        # correction can never flip the sign.
-        return math.copysign(max(abs(diff) - c, 0.0), diff)
-    if direction == "away_from_zero":
-        return math.copysign(abs(diff) + c, diff) if diff != 0.0 else 0.0
-    raise ValueError(
-        f"direction must be one of {CORRECTION_DIRECTIONS}, got {direction!r}"
-    )
+    return float(_half_step(design.r_cases, design.s_controls))
 
 
 def w_corrected(
@@ -260,7 +338,7 @@ def w_corrected(
     """Continuity-corrected W (or W_delta when ``delta_weight`` is given).
 
     The frequency difference in the numerator is shifted by
-    ``0.5*min(S,R)/(2*S*R)`` before standardizing. The default
+    :func:`continuity_correction` before standardizing. The default
     ``toward_zero`` shrinks the absolute difference (never past zero), which
     damps the finite-sample tail inflation of W; ``away_from_zero`` applies
     the opposite shift for sensitivity analysis.
@@ -269,14 +347,7 @@ def w_corrected(
     if delta_weight is None:
         delta_weight = pi_hat
     _check_delta_weight(delta_weight)
-    _require_nondegenerate(counts)
-    design = _resolve_design(counts, design)
-    q_ctrl, q_case = sample_freqs(counts)
-    diff = _corrected_difference(
-        q_ctrl - q_case, continuity_correction(design), direction
-    )
-    m1, m2 = _mixture(q_ctrl, q_case, delta_weight)
-    return math.sqrt(design.m) * diff / math.sqrt(m1 * m2)
+    return _statistic(counts, design, delta_weight, "w_cor", direction)
 
 
 def q_hat_delta(
@@ -290,14 +361,7 @@ def q_hat_delta(
     denominator, rescaled by m).
     """
     _check_delta_weight(delta_weight)
-    _require_nondegenerate(counts)
-    design = _resolve_design(counts, design)
-    q_ctrl, q_case = sample_freqs(counts)
-    m1, m2 = _mixture(q_ctrl, q_case, delta_weight)
-    u_ctrl = q_ctrl * (1.0 - q_ctrl)
-    u_case = q_case * (1.0 - q_case)
-    g = u_case + design.lam * (u_ctrl - u_case)
-    return math.sqrt(m1 * m2 / g)
+    return _statistic(counts, design, delta_weight, "q_hat")
 
 
 def q_hat(
@@ -317,9 +381,8 @@ def u_statistic(
     in absolute value, so the combined test attains the better power of the
     two while staying asymptotically standard normal under no association.
     """
-    t = t_statistic(counts, design)
-    w = w_statistic(counts, pi_hat, design)
-    return t if q_hat(counts, pi_hat, design) > 1.0 else w
+    _check_pi_hat(pi_hat)
+    return _statistic(counts, design, pi_hat, "u")
 
 
 def p_value(stat: float) -> float:
@@ -345,6 +408,23 @@ def two_sided_critical_value(alpha: float) -> float:
     return -float(ndtri(alpha / 2.0))
 
 
+def _ci_quantile(ci_level: float) -> float:
+    if not 0.0 < ci_level < 1.0:
+        raise ValueError(f"ci_level must lie in (0, 1), got {ci_level!r}")
+    return two_sided_critical_value(1.0 - ci_level)
+
+
+def _ratio_ci(q_ctrl: float, q_case: float, se: float, z: float):
+    """Ratio and interval ends, by ``math.log``/``math.exp`` on Python floats.
+
+    numpy's ``log`` and ``exp`` differ from ``math`` in the last bit on some
+    inputs, so these stay per table.
+    """
+    ratio = q_ctrl / q_case
+    log_ratio, half = math.log(ratio), z * se
+    return ratio, math.exp(log_ratio - half), math.exp(log_ratio + half)
+
+
 def effect_size(
     counts: AlleleCounts, ci_level: float = 0.95
 ) -> tuple[float, float, float]:
@@ -356,18 +436,68 @@ def effect_size(
     normal interval on the log ratio with independent binomial variances
     ``(1-q)/(2S*q)`` and ``(1-q)/(2R*q)``.
     """
-    if not 0.0 < ci_level < 1.0:
-        raise ValueError(f"ci_level must lie in (0, 1), got {ci_level!r}")
+    z = _ci_quantile(ci_level)
     _require_nondegenerate(counts)
-    q_ctrl, q_case = sample_freqs(counts)
-    design = counts.design()
-    ratio = q_ctrl / q_case
-    var_log = (1.0 - q_ctrl) / (2 * design.s_controls * q_ctrl) + (1.0 - q_case) / (
-        2 * design.r_cases * q_case
+    arrays = _table_arrays(counts, None, 0.5)  # the weight is not used
+    return _ratio_ci(
+        float(arrays.q_ctrl), float(arrays.q_case), float(arrays.log_ratio_se), z
     )
-    half = two_sided_critical_value(1.0 - ci_level) * math.sqrt(var_log)
-    log_ratio = math.log(ratio)
-    return ratio, math.exp(log_ratio - half), math.exp(log_ratio + half)
+
+
+def _reports(arrays: StatArrays, z: float | None) -> Iterator[TestReport]:
+    """Per-table reports, with p-values and intervals on Python floats.
+
+    ``z`` is the interval's normal quantile; degenerate tables do not read it.
+    """
+    per_table = arrays[:-2]  # all but the per-weight maps
+    for q_ctrl, q_case, t, w, w_cor, u, qh, se, degenerate, monomorphic in zip(
+        *(np.atleast_1d(c).tolist() for c in per_table)
+    ):
+        if degenerate:
+            t = w = w_cor = u = qh = ratio = ci = None
+            p_t = p_w = p_u = None if monomorphic else 1.0
+            if monomorphic:
+                flags = ("monomorphic",)
+            elif q_case > 0.0:
+                flags = ("degenerate",)
+            else:
+                flags = ("degenerate", "undefined_ratio")
+        else:
+            ratio, lo, hi = _ratio_ci(q_ctrl, q_case, se, z)
+            ci = (lo, hi)
+            p_t, p_w, p_u = p_value(t), p_value(w), p_value(u)
+            flags = ()
+        yield TestReport(
+            q_hat_ctrl=q_ctrl,
+            q_hat_case=q_case,
+            t_stat=t,
+            w_stat=w,
+            w_cor_stat=w_cor,
+            u_stat=u,
+            p_t=p_t,
+            p_w=p_w,
+            p_u=p_u,
+            q_hat=qh,
+            effect_ratio=ratio,
+            effect_ci=ci,
+            degenerate=degenerate,
+            flags=flags,
+        )
+
+
+def evaluate_arrays(
+    r1, n1, s1, n0, pi_hat: float, *, ci_level=0.95, direction="toward_zero"
+) -> tuple[StatArrays, Iterator[TestReport]]:
+    """Kernel output and, lazily and in order, the report of every table.
+
+    Takes the count arrays of :func:`statistic_arrays`; each report is the
+    one :func:`evaluate_counts` gives for that table. ``pi_hat`` and, unless
+    every table is degenerate, ``ci_level`` are checked before this returns.
+    """
+    _check_pi_hat(pi_hat)
+    arrays = statistic_arrays(r1, n1, s1, n0, pi_hat, direction=direction)
+    z = None if np.all(arrays.degenerate) else _ci_quantile(ci_level)
+    return arrays, _reports(arrays, z)
 
 
 def evaluate_counts(
@@ -386,62 +516,5 @@ def evaluate_counts(
     seen at all.
     """
     _check_pi_hat(pi_hat)
-    design = _resolve_design(counts, design)
-    q_ctrl, q_case = sample_freqs(counts)
-    if counts.monomorphic:
-        return TestReport(
-            q_hat_ctrl=q_ctrl,
-            q_hat_case=q_case,
-            t_stat=None,
-            w_stat=None,
-            w_cor_stat=None,
-            u_stat=None,
-            p_t=None,
-            p_w=None,
-            p_u=None,
-            q_hat=None,
-            effect_ratio=None,
-            effect_ci=None,
-            degenerate=True,
-            flags=("monomorphic",),
-        )
-    if counts.degenerate:
-        flags = ("degenerate",) if q_case > 0.0 else ("degenerate", "undefined_ratio")
-        return TestReport(
-            q_hat_ctrl=q_ctrl,
-            q_hat_case=q_case,
-            t_stat=None,
-            w_stat=None,
-            w_cor_stat=None,
-            u_stat=None,
-            p_t=1.0,
-            p_w=1.0,
-            p_u=1.0,
-            q_hat=None,
-            effect_ratio=None,
-            effect_ci=None,
-            degenerate=True,
-            flags=flags,
-        )
-    t = t_statistic(counts, design)
-    w = w_statistic(counts, pi_hat, design)
-    w_cor = w_corrected(counts, pi_hat, design, direction)
-    qh = q_hat(counts, pi_hat, design)
-    u = t if qh > 1.0 else w
-    ratio, lo, hi = effect_size(counts, ci_level)
-    return TestReport(
-        q_hat_ctrl=q_ctrl,
-        q_hat_case=q_case,
-        t_stat=t,
-        w_stat=w,
-        w_cor_stat=w_cor,
-        u_stat=u,
-        p_t=p_value(t),
-        p_w=p_value(w),
-        p_u=p_value(u),
-        q_hat=qh,
-        effect_ratio=ratio,
-        effect_ci=(lo, hi),
-        degenerate=False,
-        flags=(),
-    )
+    arrays = _table_arrays(counts, design, pi_hat, direction)
+    return next(_reports(arrays, None if counts.degenerate else _ci_quantile(ci_level)))

@@ -14,9 +14,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 SQRT2 = math.sqrt(2.0)
+# Binomial pmf values below this are dropped from lattice enumerations.
+_PMF_TAIL = 1e-18
 
 
 def normal_cdf(x: float) -> float:
@@ -138,16 +139,19 @@ def exact_q_hat_delta(r1, r2, s1, s2, delta_weight) -> float:
     return math.sqrt((m1 * m2) / g)
 
 
-def _binom_pmf(n: int, q: float) -> np.ndarray:
-    k = np.arange(n + 1)
-    logs = (
-        gammaln(n + 1)
-        - gammaln(k + 1)
-        - gammaln(n - k + 1)
-        + k * math.log(q)
-        + (n - k) * math.log(1.0 - q)
-    )
-    return np.exp(logs)
+def _binom_pmf(n: int, q: float):
+    """Counts of Binomial(n, q) with probability at least ``_PMF_TAIL``.
+
+    Returns those counts, their pmf and the mass of the dropped tails. The
+    pmf is scipy's, which sums to 1 within an ulp at n in the thousands (a
+    log-gamma route is off by ~1e-11 relative there); imported here so that
+    loading this module stays cheap.
+    """
+    from scipy.stats import binom
+
+    pmf = binom.pmf(np.arange(n + 1), n, q)
+    keep = np.flatnonzero(pmf >= _PMF_TAIL)
+    return keep, pmf[keep], math.fsum(pmf[pmf < _PMF_TAIL])
 
 
 def exact_null_rejection(
@@ -160,15 +164,18 @@ def exact_null_rejection(
 ):
     """Exact rejection probabilities under no association.
 
-    Enumerates the full (case count, control count) lattice and sums the
-    binomial product probabilities over the rejection region of each test.
-    Returns a dict keyed by test label ('T', 'W', 'W_cor', 'U',
-    'W_delta[d]', 'W_cor_delta[d]') plus 'degenerate', and the exact lower
-    and upper tail masses for U under keys 'U_lower'/'U_upper'.
+    Enumerates the (case count, control count) lattice, keeping the counts
+    whose binomial pmf is at least 1e-18, and sums the binomial product
+    probabilities over the rejection region of each test. Returns a dict
+    keyed by test label ('T', 'W', 'W_cor', 'U', 'W_delta[d]',
+    'W_cor_delta[d]') plus 'degenerate', the exact lower and upper tail
+    masses for U under keys 'U_lower'/'U_upper', and under 'dropped' the
+    lattice mass cut off with the pmf tails, which bounds the error of every
+    other entry.
     """
     n1, n0 = 2 * r_cases, 2 * s_controls
-    pr = _binom_pmf(n1, q1)
-    ps = _binom_pmf(n0, q1)
+    kr, pr, cut_r = _binom_pmf(n1, q1)
+    ks, ps, cut_s = _binom_pmf(n0, q1)
     m = 2.0 * r_cases * s_controls / (r_cases + s_controls)
     lam = r_cases / (r_cases + s_controls)
     sqrt_m = math.sqrt(m)
@@ -176,12 +183,10 @@ def exact_null_rejection(
     out: dict[str, float] = {}
     acc: dict[str, float] = {}
     deg_mass = 0.0
-    kr = np.arange(n1 + 1)
-    ks = np.arange(n0 + 1)
     q0_row = ks / n0
     chunk = 512
-    for i0 in range(0, n1 + 1, chunk):
-        i1 = min(i0 + chunk, n1 + 1)
+    for i0 in range(0, kr.size, chunk):
+        i1 = min(i0 + chunk, kr.size)
         qc = (kr[i0:i1] / n1)[:, None]
         q0 = q0_row[None, :]
         joint = pr[i0:i1][:, None] * ps[None, :]
@@ -212,6 +217,7 @@ def exact_null_rejection(
         acc["U_upper"] = acc.get("U_upper", 0.0) + float(joint[(~deg) & (u >= z)].sum())
     out.update(acc)
     out["degenerate"] = deg_mass
+    out["dropped"] = cut_r + cut_s - cut_r * cut_s
     return out
 
 
@@ -250,22 +256,13 @@ def exact_null_t_law(r_cases, s_controls, q1):
     other are one atom: the same real value reached from different counts
     can round to floats an ulp or two apart.
     """
-    tail, merge = 1e-18, 1e-12
-    # scipy's binomial pmf sums to 1 within an ulp at n in the thousands,
-    # which _binom_pmf's log-gamma route does not; imported here so that
-    # loading this module stays cheap
-    from scipy.stats import binom
-
+    merge = 1e-12
     n1, n0 = 2 * r_cases, 2 * s_controls
-    pr = binom.pmf(np.arange(n1 + 1), n1, q1)
-    ps = binom.pmf(np.arange(n0 + 1), n0, q1)
-    kr = np.flatnonzero(pr >= tail)
-    ks = np.flatnonzero(ps >= tail)
-    cut_r = math.fsum(pr[pr < tail])
-    cut_s = math.fsum(ps[ps < tail])
+    kr, pr, cut_r = _binom_pmf(n1, q1)
+    ks, ps, cut_s = _binom_pmf(n0, q1)
     qc = (kr / n1)[:, None]
     q0 = (ks / n0)[None, :]
-    joint = (pr[kr][:, None] * ps[ks][None, :]).ravel()
+    joint = (pr[:, None] * ps[None, :]).ravel()
     deg = ((qc == 0) | (qc == 1) | (q0 == 0) | (q0 == 1)).ravel()
     with np.errstate(divide="ignore", invalid="ignore"):
         t = ((q0 - qc) / np.sqrt(q0 * (1 - q0) / n0 + qc * (1 - qc) / n1)).ravel()

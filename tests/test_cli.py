@@ -81,6 +81,17 @@ class TestParseCountsFile:
         with pytest.raises(CountsFileError, match="even"):
             parse_counts_file(str(path))
 
+    def test_total_above_float64_exact_range(self, tmp_path):
+        path = tmp_path / "huge.tsv"
+        big = 1 << 53
+        path.write_text(
+            "marker_id\tcase_m1\tcase_m2\tctrl_m1\tctrl_m2\n"
+            f"rs1\t{big // 2}\t{big // 2}\t2\t2\n"
+            f"rs2\t{big // 2}\t{big // 2 + 2}\t2\t2\n"
+        )
+        with pytest.raises(CountsFileError, match="line 3: case allele total .* exceeds"):
+            parse_counts_file(str(path))
+
     def test_non_integer(self, tmp_path):
         path = tmp_path / "float.tsv"
         path.write_text(
@@ -150,6 +161,19 @@ class TestScanCommand:
 
     def test_missing_pi_hat_is_usage_error(self, counts_file, capsys):
         assert main(["scan", "--counts", counts_file]) == 1
+
+    def test_invalid_ci_level_fails_before_any_output(self, tmp_path, capsys):
+        header = "marker_id\tcase_m1\tcase_m2\tctrl_m1\tctrl_m2\n"
+        path = tmp_path / "counts.tsv"
+        # a degenerate row ahead of the first row that needs the interval
+        path.write_text(header + "rs1\t0\t10\t3\t7\nrs2\t4\t6\t3\t7\n")
+        assert main(["scan", "--counts", str(path), "--pi-hat", "0.1", "--ci-level", "1.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ci_level" in captured.err
+        # no table needs an interval, so the level is never read
+        path.write_text(header + "rs1\t0\t10\t3\t7\nrs2\t0\t10\t0\t10\n")
+        assert main(["scan", "--counts", str(path), "--pi-hat", "0.1", "--ci-level", "1.5"]) == 0
 
 
 class TestModelCommand:
@@ -227,6 +251,21 @@ class TestPowerCommand:
         variants = {row.split(",")[2] for row in w_rows}
         assert len(variants) == 3
 
+    @pytest.mark.parametrize("args, code", [
+        (["--axis", "q1", "--delta", "0.3", "--values", "nan"], 1),
+        (["--axis", "q1", "--delta", "0.3", "--values", "inf"], 1),
+        (["--axis", "q1", "--delta", "0.3", "--values", "0.1,1.5"], 1),
+        (["--axis", "delta", "--q1", "nan", "--values", "0.1"], 1),
+        (["--axis", "q1", "--delta", "0.3", "--values", "0.1", "--pen", "0,0,0"], 3),
+    ])
+    def test_invalid_coordinates_are_errors_not_infeasible_rows(self, args, code, capsys):
+        base = ["power", "--p1", "0.05", "--pen", "0.60,0.35,0.10", "--r", "1000",
+                "--s", "1000", "--alpha", "1e-8"]
+        assert main(base + args) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_sweep_spec(self, capsys):
         code = main(["power", "--p1", "0.05", "--pen", "0.60,0.35,0.10",
                      "--q1", "0.1", "--r", "1000", "--s", "1000", "--alpha", "1e-8",
@@ -269,6 +308,11 @@ class TestSimulateCommand:
     def test_zero_reps_rejected(self, capsys):
         code = main([*self.BASE[:-5], "--reps", "0", "--alphas", "1e-3"])
         assert code == 1
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_seed_outside_64_bits_rejected(self, seed, capsys):
+        assert main([*self.BASE, "--seed", seed]) == 1
+        assert "seed" in capsys.readouterr().err
 
     def test_type1_with_ld_rejected(self, capsys):
         code = main(self.BASE + ["--delta", "0.3"])

@@ -11,7 +11,6 @@ from alleletest.model import DesignConstants, MarkerSpec, PenetranceModel
 from alleletest.sim import (
     SimConfig,
     SimulationConfigError,
-    _stat_arrays,
     _stream,
     draw_counts,
     draw_counts_genotype,
@@ -21,16 +20,25 @@ from alleletest.sim import (
     null_distribution_sample,
 )
 from alleletest.stats import (
+    CORRECTION_DIRECTIONS,
     AlleleCounts,
     q_hat,
     t_statistic,
     two_sided_critical_value,
+    statistic_arrays,
     u_statistic,
     w_corrected,
     w_delta_statistic,
     w_statistic,
 )
-from oracles import enumerate_population, exact_null_rejection, exact_null_t_law
+from oracles import (
+    enumerate_population,
+    exact_null_rejection,
+    exact_null_t_law,
+    exact_q_hat_delta,
+    exact_t,
+    exact_w_delta,
+)
 
 ADDITIVE = PenetranceModel(p1=0.10, pen11=0.60, pen12=0.35, pen22=0.10)
 NULL_MARKER_10 = MarkerSpec(q1=0.10, delta=0.0)
@@ -126,28 +134,42 @@ class TestGenotypeDistributions:
 
 class TestVectorizedAgainstScalar:
     def test_block_statistics_match_scalar_calls(self):
-        cfg = config(deltas=(0.0, 0.4, 1.0), tests=("T", "W", "W_cor", "U", "W_delta", "W_cor_delta"))
+        weights = (0.0, 0.4, 1.0)
+        n1, n0 = 1000, 1400  # 500 cases, 700 controls
         rng = np.random.default_rng(9)
-        r1 = rng.integers(1, 999, size=64)
-        s1 = rng.integers(1, 999, size=64)
-        labels = [("T", None), ("W", None), ("W_cor", None), ("U", None)] + [
-            (t, d) for t in ("W_delta", "W_cor_delta") for d in (0.0, 0.4, 1.0)
-        ]
-        arrays, deg, qh = _stat_arrays(np.asarray(r1), np.asarray(s1), cfg, labels, want_q_hat=True)
-        assert not deg.any()
-        for i in range(64):
-            counts = AlleleCounts(int(r1[i]), 1000 - int(r1[i]), int(s1[i]), 1000 - int(s1[i]))
-            assert arrays[("T", None)][i] == pytest.approx(t_statistic(counts), rel=1e-14)
-            assert arrays[("W", None)][i] == pytest.approx(w_statistic(counts, 0.15), rel=1e-14)
-            assert arrays[("W_cor", None)][i] == pytest.approx(
-                w_corrected(counts, 0.15), rel=1e-14, abs=1e-300
-            )
-            assert arrays[("U", None)][i] == pytest.approx(u_statistic(counts, 0.15), rel=1e-14)
-            assert qh[i] == pytest.approx(q_hat(counts, 0.15), rel=1e-14)
-            for d in (0.0, 0.4, 1.0):
-                assert arrays[("W_delta", d)][i] == pytest.approx(
-                    w_delta_statistic(counts, d), rel=1e-14
+        r1 = rng.integers(1, n1, size=64)
+        s1 = rng.integers(1, n0, size=64)
+        # then degenerate rows: no case M1, all controls M1, and two monomorphic
+        r1 = np.concatenate([r1, [0, 5, 0, n1]])
+        s1 = np.concatenate([s1, [7, n0, 0, n0]])
+        for direction in CORRECTION_DIRECTIONS:
+            arrays = statistic_arrays(r1, n1, s1, n0, 0.15, weights, direction)
+            np.testing.assert_array_equal(arrays.degenerate, np.arange(68) >= 64)
+            np.testing.assert_array_equal(arrays.monomorphic, np.arange(68) >= 66)
+            for stat in (arrays.t, arrays.w, arrays.w_cor, arrays.u, arrays.q_hat,
+                         *arrays.w_delta.values(), *arrays.w_cor_delta.values()):
+                assert np.isnan(stat[64:]).all()
+            for i in range(64):
+                table = (int(r1[i]), n1 - int(r1[i]), int(s1[i]), n0 - int(s1[i]))
+                counts = AlleleCounts(*table)
+                assert arrays.t[i] == t_statistic(counts)
+                assert arrays.t[i] == pytest.approx(exact_t(*table), rel=1e-12)
+                assert arrays.w[i] == w_statistic(counts, 0.15)
+                assert arrays.w[i] == pytest.approx(exact_w_delta(*table, 0.15), rel=1e-12)
+                assert arrays.w_cor[i] == w_corrected(counts, 0.15, direction=direction)
+                assert arrays.u[i] == u_statistic(counts, 0.15)
+                assert arrays.q_hat[i] == q_hat(counts, 0.15)
+                assert arrays.q_hat[i] == pytest.approx(
+                    exact_q_hat_delta(*table, 0.15), rel=1e-12
                 )
+                for d in weights:
+                    assert arrays.w_delta[d][i] == w_delta_statistic(counts, d)
+                    assert arrays.w_delta[d][i] == pytest.approx(
+                        exact_w_delta(*table, d), rel=1e-12
+                    )
+                    assert arrays.w_cor_delta[d][i] == w_corrected(
+                        counts, 0.15, direction=direction, delta_weight=d
+                    )
 
 
 class TestEstimateType1:
@@ -349,6 +371,18 @@ class TestConfigValidation:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             config(mode="haplotype")
+
+    def test_seed_outside_64_bits(self):
+        # seeds are Philox keys; a value outside 64 bits would alias another seed
+        for bad in (-1, 1 << 64, (1 << 64) + 5):
+            with pytest.raises(ValueError, match="seed"):
+                config(seed=bad)
+        assert config(seed=(1 << 64) - 1).seed == (1 << 64) - 1
+
+    @pytest.mark.parametrize("run", [estimate_type1, null_distribution_sample])
+    def test_workers_below_one(self, run):
+        with pytest.raises(ValueError, match="workers"):
+            run(config(reps=100), workers=0)
 
     def test_delta_tests_without_weights(self):
         cfg = config(tests=("W_delta",), deltas=())

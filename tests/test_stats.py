@@ -10,6 +10,7 @@ from scipy.stats import norm
 
 from alleletest.model import DesignConstants
 from alleletest.stats import (
+    MAX_ALLELE_TOTAL,
     AlleleCounts,
     DegenerateTableError,
     continuity_correction,
@@ -53,6 +54,15 @@ class TestAlleleCounts:
             AlleleCounts(-1, 3, 2, 2)
         with pytest.raises(ValueError):
             AlleleCounts(0, 0, 2, 2)  # case total below 2
+
+    def test_totals_limited_to_exact_float64_range(self):
+        half = MAX_ALLELE_TOTAL // 2
+        at_limit = AlleleCounts(3, 2 * half - 3, half, half)
+        assert t_statistic(at_limit) == pytest.approx(exact_t(3, 2 * half - 3, half, half), rel=1e-12)
+        with pytest.raises(ValueError, match="exceeds"):
+            AlleleCounts(half, half + 2, 1, 1)
+        with pytest.raises(ValueError, match="exceeds"):
+            AlleleCounts(1, 1, 1 << 64, 1 << 64)  # beyond int64 as well
 
     def test_design_derived_from_totals(self):
         assert COUNTS.design() == DesignConstants(1000, 1000)
