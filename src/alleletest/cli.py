@@ -58,6 +58,10 @@ SCAN_COLUMNS = (
     "w_abs_rank",
 )
 
+# Largest --sweep point count, 500 times the benchmark's power grid; it
+# bounds the memory a sweep can ask for before anything is allocated.
+MAX_SWEEP_POINTS = 10**6
+
 LOCALITY_NOTE = (
     "note: p-values rank markers only locally -- markers tied to different "
     "causal variants share no common effect scale and are not comparable."
@@ -330,6 +334,8 @@ def power_cmd(p1, pen, q1, delta, delta_weight, r, s, alpha, axis, values, sweep
             raise click.UsageError(f"--sweep expects numbers lo:hi:n, got {sweep!r}") from None
         if n < 1:
             raise click.UsageError("--sweep needs at least one point")
+        if n > MAX_SWEEP_POINTS:
+            raise click.UsageError(f"--sweep allows at most {MAX_SWEEP_POINTS} points, got {n}")
         grid = list(np.linspace(lo, hi, n))
     else:
         grid = _default_grid(axis, p1, q1)
@@ -354,17 +360,14 @@ def power_cmd(p1, pen, q1, delta, delta_weight, r, s, alpha, axis, values, sweep
     try:
         handle.write("axis,test,variant,power,feasible\n")
         for pt in points:
-            coord = {"q1": pt.q1, "delta": pt.delta, "delta_weight": pt.delta_weight}[axis]
+            coord = f"{getattr(pt, axis):.17g}"
             feasible = "1" if pt.feasible else "0"
-            for test, value, variant in (
-                ("T", pt.power_t, None),
-                ("W", pt.power_w, pt.pi_hat),
-                ("W_delta", pt.power_w_delta, pt.delta_weight),
-                ("U", pt.power_u, None),
-            ):
-                handle.write(
-                    f"{coord:.17g},{test},{_fmt(variant)},{_fmt(value)},{feasible}\n"
-                )
+            handle.write(
+                f"{coord},T,,{_fmt(pt.power_t)},{feasible}\n"
+                f"{coord},W,{pt.pi_hat:.17g},{_fmt(pt.power_w)},{feasible}\n"
+                f"{coord},W_delta,{pt.delta_weight:.17g},{_fmt(pt.power_w_delta)},{feasible}\n"
+                f"{coord},U,,{_fmt(pt.power_u)},{feasible}\n"
+            )
     finally:
         _close_out(handle)
 

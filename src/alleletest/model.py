@@ -22,6 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "FeasibilityError",
@@ -30,18 +33,24 @@ __all__ = [
     "MarkerSpec",
     "DesignConstants",
     "PopulationSummary",
+    "MarkerTerms",
     "delta_bounds",
+    "marker_terms",
     "haplotype_freqs",
     "prevalence",
     "allele_risks",
+    "check_prevalence",
     "causal_conditional_freqs",
     "marker_conditional_freqs",
+    "shifted_marker_freqs",
     "b_term",
     "q_term",
     "q_term_variance_weighted",
     "population_summary",
     "frequency_mixture",
     "variance_mixture",
+    "variance_ratio",
+    "check_weight",
 ]
 
 # Slack for floating-point round-off at the exact feasibility boundary.
@@ -180,23 +189,63 @@ def delta_bounds(p1: float, q1: float) -> tuple[float, float]:
     """
     _check_freq("p1", p1)
     _check_freq("q1", q1)
+    terms = marker_terms(p1, q1, 0.0)
+    return float(terms.lo), float(terms.hi)
+
+
+class MarkerTerms(NamedTuple):
+    """LD-level quantities of one marker, or of arrays of markers.
+
+    ``feasible`` applies :func:`delta_bounds` with ``_BOUND_TOL`` of slack;
+    ``d`` is the haplotype covariance ``delta*sqrt(p1*p2*q1*q2)`` and ``q1``
+    the haplotype sum A1M1 + A2M1 (:attr:`PopulationSummary.q1`). Values at
+    infeasible markers are computed all the same and mean nothing.
+    """
+
+    lo: Any
+    hi: Any
+    feasible: Any
+    d: Any
+    haplotypes: tuple
+    q1: Any
+
+
+def marker_terms(p1, q1, delta) -> MarkerTerms:
+    """Bounds, feasibility and haplotype frequencies for a causal-variant
+    frequency ``p1`` and marker coordinates ``(q1, delta)``.
+
+    Arithmetic only, so it serves one marker (floats) and a whole power
+    sweep (arrays) with the same bits; the inputs are not validated.
+    """
     p2 = 1.0 - p1
     q2 = 1.0 - q1
-    lo = max(-math.sqrt(p1 * q1 / (p2 * q2)), -math.sqrt(p2 * q2 / (p1 * q1)))
-    hi = min(math.sqrt(p1 * q2 / (p2 * q1)), math.sqrt(p2 * q1 / (p1 * q2)))
-    return lo, hi
+    lo = np.maximum(-np.sqrt(p1 * q1 / (p2 * q2)), -np.sqrt(p2 * q2 / (p1 * q1)))
+    hi = np.minimum(np.sqrt(p1 * q2 / (p2 * q1)), np.sqrt(p2 * q1 / (p1 * q2)))
+    feasible = (lo - _BOUND_TOL <= delta) & (delta <= hi + _BOUND_TOL)
+    d = delta * np.sqrt(p1 * p2 * q1 * q2)
+    a1m1 = p1 * q1 + d
+    a1m2 = p1 - a1m1
+    a2m1 = q1 - a1m1
+    a2m2 = p2 - a2m1
+    # At an exact feasibility boundary round-off may leave a frequency a few
+    # ulps below zero; snap it back.
+    haps = tuple(
+        _select((-_BOUND_TOL < f) & (f < 0.0), 0.0, f) for f in (a1m1, a1m2, a2m1, a2m2)
+    )
+    return MarkerTerms(lo, hi, feasible, d, haps, haps[0] + haps[2])
 
 
-def _require_feasible(model: PenetranceModel, marker: MarkerSpec) -> None:
-    lo, hi = delta_bounds(model.p1, marker.q1)
-    d = marker.delta
-    if d < lo - _BOUND_TOL or d > hi + _BOUND_TOL:
+def _require_feasible(model: PenetranceModel, marker: MarkerSpec) -> MarkerTerms:
+    terms = marker_terms(model.p1, marker.q1, marker.delta)
+    if not terms.feasible:
+        lo, hi, d = float(terms.lo), float(terms.hi), marker.delta
         side = "lower" if d < lo else "upper"
         raise FeasibilityError(
             f"delta={d:g} violates the {side} feasibility bound for "
             f"p1={model.p1:g}, q1={marker.q1:g}: admissible range is "
             f"[{lo:.9g}, {hi:.9g}]"
         )
+    return terms
 
 
 def haplotype_freqs(
@@ -209,16 +258,7 @@ def haplotype_freqs(
     :class:`FeasibilityError` when ``delta`` lies outside
     :func:`delta_bounds`.
     """
-    _require_feasible(model, marker)
-    p1, q1 = model.p1, marker.q1
-    d = marker.delta * math.sqrt(p1 * model.p2 * q1 * marker.q2)
-    a1m1 = p1 * q1 + d
-    a1m2 = p1 - a1m1
-    a2m1 = q1 - a1m1
-    a2m2 = (1.0 - p1) - a2m1
-    # At an exact feasibility boundary round-off may leave a frequency a few
-    # ulps below zero; snap it back.
-    return tuple(0.0 if -_BOUND_TOL < f < 0.0 else f for f in (a1m1, a1m2, a2m1, a2m2))
+    return tuple(float(f) for f in _require_feasible(model, marker).haplotypes)
 
 
 def prevalence(model: PenetranceModel) -> float:
@@ -238,7 +278,10 @@ def allele_risks(model: PenetranceModel) -> tuple[float, float]:
     return f1, f2
 
 
-def _check_prevalence(pi: float) -> float:
+def check_prevalence(model: PenetranceModel) -> float:
+    """The prevalence of ``model``; raises :class:`DegeneratePrevalenceError`
+    unless it lies strictly inside (0, 1)."""
+    pi = prevalence(model)
     if not 0.0 < pi < 1.0:
         raise DegeneratePrevalenceError(
             f"prevalence is {pi:g}; conditional frequencies require 0 < prevalence < 1"
@@ -246,12 +289,16 @@ def _check_prevalence(pi: float) -> float:
     return pi
 
 
-def _clamp01(x: float) -> float:
-    if -_BOUND_TOL < x < 0.0:
-        return 0.0
-    if 1.0 < x < 1.0 + _BOUND_TOL:
-        return 1.0
-    return x
+def _select(condition, if_true, if_false):
+    """``np.where`` that keeps a scalar a scalar (0-d arrays are slow)."""
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, if_true, if_false)
+    return if_true if condition else if_false
+
+
+def _clamp01(x):
+    x = _select((-_BOUND_TOL < x) & (x < 0.0), 0.0, x)
+    return _select((1.0 < x) & (x < 1.0 + _BOUND_TOL), 1.0, x)
 
 
 def causal_conditional_freqs(model: PenetranceModel) -> tuple[float, float]:
@@ -260,11 +307,23 @@ def causal_conditional_freqs(model: PenetranceModel) -> tuple[float, float]:
     Bayes inversion at the allele level: a random allele of a random case is
     A1 with probability ``p1*f1/prevalence``.
     """
-    pi = _check_prevalence(prevalence(model))
+    pi = check_prevalence(model)
     f1, _ = allele_risks(model)
     p1_case = model.p1 * f1 / pi
     p1_ctrl = model.p1 * (1.0 - f1) / (1.0 - pi)
-    return _clamp01(p1_case), _clamp01(p1_ctrl)
+    return float(_clamp01(p1_case)), float(_clamp01(p1_ctrl))
+
+
+def shifted_marker_freqs(model: PenetranceModel, q1, d):
+    """``(q1_case, q1_ctrl)`` for marker frequency ``q1`` and haplotype
+    covariance ``d`` (:attr:`MarkerTerms.d`); floats or arrays.
+
+    Raises :class:`DegeneratePrevalenceError` for a degenerate ``model``.
+    """
+    pi = check_prevalence(model)
+    f1, f2 = allele_risks(model)
+    shift = d * (f1 - f2)
+    return _clamp01(q1 + shift / pi), _clamp01(q1 - shift / (1.0 - pi))
 
 
 def marker_conditional_freqs(
@@ -277,14 +336,9 @@ def marker_conditional_freqs(
     outputs satisfy the mixture identity
     ``prevalence*q1_case + (1-prevalence)*q1_ctrl == q1``.
     """
-    _require_feasible(model, marker)
-    pi = _check_prevalence(prevalence(model))
-    f1, f2 = allele_risks(model)
-    d = marker.delta * math.sqrt(model.p1 * model.p2 * marker.q1 * marker.q2)
-    shift = d * (f1 - f2)
-    q1_case = marker.q1 + shift / pi
-    q1_ctrl = marker.q1 - shift / (1.0 - pi)
-    return _clamp01(q1_case), _clamp01(q1_ctrl)
+    terms = _require_feasible(model, marker)
+    q1_case, q1_ctrl = shifted_marker_freqs(model, marker.q1, terms.d)
+    return float(q1_case), float(q1_ctrl)
 
 
 def b_term(model: PenetranceModel) -> float:
@@ -300,18 +354,18 @@ def b_term(model: PenetranceModel) -> float:
 
 def population_summary(model: PenetranceModel, marker: MarkerSpec) -> PopulationSummary:
     """Bundle every derived population quantity for one (model, marker) pair."""
-    haps = haplotype_freqs(model, marker)
-    pi = _check_prevalence(prevalence(model))
+    terms = _require_feasible(model, marker)
+    pi = check_prevalence(model)
     p1_case, p1_ctrl = causal_conditional_freqs(model)
-    q1_case, q1_ctrl = marker_conditional_freqs(model, marker)
+    q1_case, q1_ctrl = shifted_marker_freqs(model, marker.q1, terms.d)
     return PopulationSummary(
         prevalence=pi,
         p1_case=p1_case,
         p1_ctrl=p1_ctrl,
-        q1_case=q1_case,
-        q1_ctrl=q1_ctrl,
+        q1_case=float(q1_case),
+        q1_ctrl=float(q1_ctrl),
         b=b_term(model),
-        haplotypes=haps,
+        haplotypes=tuple(float(f) for f in terms.haplotypes),
     )
 
 
@@ -336,15 +390,11 @@ def q_term(
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lam must lie in (0, 1), got {lam!r}")
-    g = variance_mixture(summary.q1_ctrl, summary.q1_case, lam)
     if delta_weight is None:
-        q1 = summary.q1
-        num = q1 * (1.0 - q1)
-    else:
-        if not 0.0 <= delta_weight <= 1.0:
-            raise ValueError(f"delta_weight must lie in [0, 1], got {delta_weight!r}")
-        num = frequency_mixture(summary.q1_ctrl, summary.q1_case, delta_weight)
-    return math.sqrt(num / g)
+        return float(variance_ratio(summary.q1, summary.q1_ctrl, summary.q1_case, lam))
+    check_weight("delta_weight", delta_weight)
+    g = variance_mixture(summary.q1_ctrl, summary.q1_case, lam)
+    return math.sqrt(frequency_mixture(summary.q1_ctrl, summary.q1_case, delta_weight) / g)
 
 
 def q_term_variance_weighted(summary: PopulationSummary, delta_weight: float) -> float:
@@ -356,11 +406,22 @@ def q_term_variance_weighted(summary: PopulationSummary, delta_weight: float) ->
     for comparison because it treats the weight as a replacement for the
     sampling fraction rather than for the prevalence.
     """
-    if not 0.0 <= delta_weight <= 1.0:
-        raise ValueError(f"delta_weight must lie in [0, 1], got {delta_weight!r}")
-    g = variance_mixture(summary.q1_ctrl, summary.q1_case, delta_weight)
-    q1 = summary.q1
-    return math.sqrt(q1 * (1.0 - q1) / g)
+    check_weight("delta_weight", delta_weight)
+    return float(
+        variance_ratio(summary.q1, summary.q1_ctrl, summary.q1_case, delta_weight)
+    )
+
+
+def check_weight(name: str, value: float) -> None:
+    """Reject a mixing weight outside [0, 1] (NaN included)."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def variance_ratio(q1, q1_ctrl, q1_case, weight):
+    """``sqrt(q1*q2 / variance_mixture(q1_ctrl, q1_case, weight))``: Q at
+    ``weight == lam``; arithmetic only, for floats or arrays."""
+    return np.sqrt(q1 * (1.0 - q1) / variance_mixture(q1_ctrl, q1_case, weight))
 
 
 def frequency_mixture(q_ctrl, q_case, weight):

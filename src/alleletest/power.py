@@ -19,19 +19,23 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
 from scipy.special import ndtr
 
 from .model import (
     DesignConstants,
-    FeasibilityError,
     MarkerSpec,
     PenetranceModel,
     PopulationSummary,
+    b_term,
+    check_prevalence,
+    check_weight,
     frequency_mixture,
+    marker_terms,
     population_summary,
-    prevalence,
-    q_term,
+    shifted_marker_freqs,
     variance_mixture,
+    variance_ratio,
 )
 from .stats import two_sided_critical_value
 
@@ -71,21 +75,51 @@ def w_noncentrality(summary: PopulationSummary, design: DesignConstants) -> floa
     )
 
 
-def _check_power_args(m: float, q_ratio: float, alpha: float) -> None:
-    if m <= 0.0:
-        raise ValueError(f"m must be positive, got {m!r}")
-    if q_ratio <= 0.0:
-        raise ValueError(f"q_ratio must be positive, got {q_ratio!r}")
+def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
+def _check_power_args(m: float, q_ratio, alpha: float) -> None:
+    """``q_ratio`` may be an array; its first non-positive entry is reported."""
+    if m <= 0.0:
+        raise ValueError(f"m must be positive, got {m!r}")
+    q_ratio = np.ravel(q_ratio)
+    bad = q_ratio[q_ratio <= 0.0]
+    if bad.size:
+        raise ValueError(f"q_ratio must be positive, got {bad[0].item()!r}")
+    _check_alpha(alpha)
+
+
+# The power formulas, written once for floats and arrays alike: ``mu`` is the
+# noncentrality sqrt(m)*B*delta and ``z`` the two-sided critical value.
+
+
+def _t_power(mu, q_ratio, z):
+    mu = mu * q_ratio
+    return ndtr(mu - z) + ndtr(-z - mu)
+
+
+def _w_power(mu, q_ratio, z):
+    return ndtr(q_ratio * (mu - z)) + ndtr(-q_ratio * (z + mu))
+
+
+def _u_power(q_ratio, p_w, p_t):
+    return np.where(q_ratio < 1.0, p_w, p_t)
+
+
+def _w_delta_power(sqrt_m, q1_ctrl, q1_case, g, weight, z):
+    x = frequency_mixture(q1_ctrl, q1_case, weight)
+    mu = sqrt_m * (q1_ctrl - q1_case) / np.sqrt(x)
+    sigma = np.sqrt(g / x)
+    return ndtr((mu - z) / sigma) + ndtr((-z - mu) / sigma)
 
 
 def power_t(m: float, b: float, delta: float, q_ratio: float, alpha: float) -> float:
     """Two-sided asymptotic power of the classic statistic T."""
     _check_power_args(m, q_ratio, alpha)
     z = two_sided_critical_value(alpha)
-    mu = noncentrality(m, b, delta) * q_ratio
-    return float(ndtr(mu - z) + ndtr(-z - mu))
+    return float(_t_power(noncentrality(m, b, delta), q_ratio, z))
 
 
 def power_w(m: float, b: float, delta: float, q_ratio: float, alpha: float) -> float:
@@ -96,8 +130,7 @@ def power_w(m: float, b: float, delta: float, q_ratio: float, alpha: float) -> f
     """
     _check_power_args(m, q_ratio, alpha)
     z = two_sided_critical_value(alpha)
-    mu = noncentrality(m, b, delta)
-    return float(ndtr(q_ratio * (mu - z)) + ndtr(-q_ratio * (z + mu)))
+    return float(_w_power(noncentrality(m, b, delta), q_ratio, z))
 
 
 def power_w_delta(
@@ -116,18 +149,13 @@ def power_w_delta(
     marker whose minor allele M1 is positively associated with the disease
     the power is largest at weight 0 and smallest at weight 1.
     """
-    if not 0.0 <= delta_weight <= 1.0:
-        raise ValueError(f"delta_weight must lie in [0, 1], got {delta_weight!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    check_weight("delta_weight", delta_weight)
+    _check_alpha(alpha)
     summary = population_summary(model, marker)
     q1_case, q1_ctrl = summary.q1_case, summary.q1_ctrl
     g = variance_mixture(q1_ctrl, q1_case, design.lam)
-    x = frequency_mixture(q1_ctrl, q1_case, delta_weight)
-    mu = math.sqrt(design.m) * (q1_ctrl - q1_case) / math.sqrt(x)
-    sigma = math.sqrt(g / x)
     z = two_sided_critical_value(alpha)
-    return float(ndtr((mu - z) / sigma) + ndtr((-z - mu) / sigma))
+    return float(_w_delta_power(math.sqrt(design.m), q1_ctrl, q1_case, g, delta_weight, z))
 
 
 def power_u(m: float, b: float, delta: float, q_ratio: float, alpha: float) -> float:
@@ -136,9 +164,8 @@ def power_u(m: float, b: float, delta: float, q_ratio: float, alpha: float) -> f
     Equals the W power where Q < 1, the T power where Q > 1, and their
     common value at Q == 1.
     """
-    if q_ratio < 1.0:
-        return power_w(m, b, delta, q_ratio, alpha)
-    return power_t(m, b, delta, q_ratio, alpha)
+    p_w = power_w(m, b, delta, q_ratio, alpha)
+    return float(_u_power(q_ratio, p_w, power_t(m, b, delta, q_ratio, alpha)))
 
 
 @dataclass(frozen=True)
@@ -187,6 +214,14 @@ def power_grid(
     Coordinates where the LD correlation is infeasible for the marker
     frequency are emitted with ``feasible=False`` rather than dropped, so a
     sweep always yields one point per requested coordinate.
+
+    Every argument is checked before any power is evaluated, so an invalid
+    one raises whether or not any coordinate is feasible: the coordinates in
+    grid order (``ValueError``), the prevalence
+    (:class:`~alleletest.model.DegeneratePrevalenceError`), then the Q of
+    each feasible point, ``alpha`` and the ``pi_hat_values``
+    (``ValueError``). The sweep derives the model once and evaluates all
+    coordinates as arrays, with the same arithmetic as the scalar functions.
     """
     if axis not in GRID_AXES:
         raise ValueError(f"axis must be one of {GRID_AXES}, got {axis!r}")
@@ -201,46 +236,62 @@ def power_grid(
     if axis != "delta" and delta is None:
         raise ValueError("delta must be fixed when it is not the sweep axis")
 
-    pi = prevalence(model)
+    coords = [
+        (
+            value if axis == "q1" else q1,
+            value if axis == "delta" else delta,
+            value if axis == "delta_weight" else delta_weight,
+        )
+        for value in values
+    ]
+    # The scalar validators raise for the first bad coordinate in grid order.
+    for coord_q1, coord_delta, coord_dw in coords:
+        MarkerSpec(q1=coord_q1, delta=coord_delta)
+        if coord_dw is not None:
+            check_weight("delta_weight", coord_dw)
+    pi = check_prevalence(model)
+    coords = [(cq1, cdelta, pi if cdw is None else cdw) for cq1, cdelta, cdw in coords]
+
+    q1s, deltas, weights = (np.array(c, dtype=float) for c in zip(*coords))
+    terms = marker_terms(model.p1, q1s, deltas)
+    ok = np.flatnonzero(terms.feasible)
+    q1_case, q1_ctrl = shifted_marker_freqs(model, q1s[ok], terms.d[ok])
+    q_ratio = variance_ratio(terms.q1[ok], q1_ctrl, q1_case, design.lam)
+    _check_power_args(design.m, q_ratio, alpha)
+    for pi_hat in pi_hats:
+        if pi_hat is not None:
+            check_weight("pi_hat", pi_hat)
+
+    z = two_sided_critical_value(alpha)
+    mu = noncentrality(design.m, b_term(model), deltas[ok])
+    p_t = _t_power(mu, q_ratio, z)
+    p_w = _w_power(mu, q_ratio, z)
+    sqrt_m = math.sqrt(design.m)
+    g = variance_mixture(q1_ctrl, q1_case, design.lam)
+    # Per coordinate: T, W_delta, U, then W under each pi-hat, where a
+    # misspecified prevalence estimate turns W into the mixed-weight
+    # statistic with that weight. None marks an infeasible coordinate.
+    powers = np.full((len(values), 3 + len(pi_hats)), None, dtype=object)
+    powers[ok] = np.column_stack(
+        [
+            p_t,
+            _w_delta_power(sqrt_m, q1_ctrl, q1_case, g, weights[ok], z),
+            _u_power(q_ratio, p_w, p_t),
+            *(
+                p_w if pi_hat is None else _w_delta_power(sqrt_m, q1_ctrl, q1_case, g, pi_hat, z)
+                for pi_hat in pi_hats
+            ),
+        ]
+    )
+
+    eff_pis = [pi if pi_hat is None else pi_hat for pi_hat in pi_hats]
     points: list[PowerPoint] = []
-    for value in values:
-        coord_q1 = value if axis == "q1" else q1
-        coord_delta = value if axis == "delta" else delta
-        coord_dw = value if axis == "delta_weight" else delta_weight
-        eff_dw = pi if coord_dw is None else coord_dw
-        for pi_hat in pi_hats:
-            eff_pi = pi if pi_hat is None else pi_hat
-            try:
-                marker = MarkerSpec(q1=coord_q1, delta=coord_delta)
-                summary = population_summary(model, marker)
-            except FeasibilityError:
-                feasible = False
-                p_t = p_w = p_wd = p_u = None
-            else:
-                feasible = True
-                q_ratio = q_term(summary, design.lam)
-                m = design.m
-                p_t = power_t(m, summary.b, coord_delta, q_ratio, alpha)
-                if pi_hat is None:
-                    p_w = power_w(m, summary.b, coord_delta, q_ratio, alpha)
-                else:
-                    # A misspecified prevalence estimate turns W into the
-                    # mixed-weight statistic with that weight.
-                    p_w = power_w_delta(model, marker, design, eff_pi, alpha)
-                p_wd = power_w_delta(model, marker, design, eff_dw, alpha)
-                p_u = power_u(m, summary.b, coord_delta, q_ratio, alpha)
+    for (coord_q1, coord_delta, eff_dw), feasible, (pt, pwd, pu, *pws) in zip(
+        coords, terms.feasible.tolist(), powers.tolist()
+    ):
+        for eff_pi, pw in zip(eff_pis, pws):
+            # Positional, in field order: keywords make this loop a third slower.
             points.append(
-                PowerPoint(
-                    q1=coord_q1,
-                    delta=coord_delta,
-                    delta_weight=eff_dw,
-                    pi_hat=eff_pi,
-                    alpha=alpha,
-                    power_t=p_t,
-                    power_w=p_w,
-                    power_w_delta=p_wd,
-                    power_u=p_u,
-                    feasible=feasible,
-                )
+                PowerPoint(coord_q1, coord_delta, eff_dw, eff_pi, alpha, pt, pw, pwd, pu, feasible)
             )
     return points

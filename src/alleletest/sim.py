@@ -37,6 +37,7 @@ from .model import (
     DesignConstants,
     MarkerSpec,
     PenetranceModel,
+    check_weight,
     haplotype_freqs,
     marker_conditional_freqs,
     prevalence,
@@ -119,8 +120,7 @@ class SimConfig:
             if not 0.0 < a <= 1.0:
                 raise ValueError(f"alpha must lie in (0, 1], got {a!r}")
         for d in self.delta_weights:
-            if not 0.0 <= d <= 1.0:
-                raise ValueError(f"delta_weight must lie in [0, 1], got {d!r}")
+            check_weight("delta_weight", d)
         unknown = set(self.tests) - set(ALL_TESTS)
         if unknown:
             raise ValueError(f"unknown tests {sorted(unknown)}; choose from {ALL_TESTS}")

@@ -32,7 +32,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
-from .model import DesignConstants, frequency_mixture, variance_mixture
+from .model import DesignConstants, check_weight, frequency_mixture, variance_mixture
 
 __all__ = [
     "DegenerateTableError",
@@ -253,11 +253,6 @@ def _check_pi_hat(pi_hat: float) -> None:
         raise ValueError(f"pi_hat must lie strictly inside (0, 1), got {pi_hat!r}")
 
 
-def _check_delta_weight(delta_weight: float) -> None:
-    if not 0.0 <= delta_weight <= 1.0:
-        raise ValueError(f"delta_weight must lie in [0, 1], got {delta_weight!r}")
-
-
 def _table_arrays(counts, design, weight, direction="toward_zero") -> StatArrays:
     """Kernel output for one table, checked against ``design``."""
     _resolve_design(counts, design)
@@ -301,7 +296,7 @@ def w_delta_statistic(
     frequencies only, 1 by the case frequencies only, and the prevalence
     recovers :func:`w_statistic`.
     """
-    _check_delta_weight(delta_weight)
+    check_weight("delta_weight", delta_weight)
     return _statistic(counts, design, delta_weight, "w")
 
 
@@ -346,7 +341,7 @@ def w_corrected(
     _check_pi_hat(pi_hat)
     if delta_weight is None:
         delta_weight = pi_hat
-    _check_delta_weight(delta_weight)
+    check_weight("delta_weight", delta_weight)
     return _statistic(counts, design, delta_weight, "w_cor", direction)
 
 
@@ -360,7 +355,7 @@ def q_hat_delta(
     mixture of the case/control variance products (the square of the T
     denominator, rescaled by m).
     """
-    _check_delta_weight(delta_weight)
+    check_weight("delta_weight", delta_weight)
     return _statistic(counts, design, delta_weight, "q_hat")
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from alleletest.cli import CountsFileError, main, parse_counts_file, SCAN_COLUMNS
+from alleletest.cli import MAX_SWEEP_POINTS, CountsFileError, main, parse_counts_file, SCAN_COLUMNS
 
 VALID_FILE = """\
 # marker counts for the worked example
@@ -265,6 +265,32 @@ class TestPowerCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    # p1 = 0.25 leaves delta = 0.9 infeasible at both q1 values: no point is evaluated.
+    INFEASIBLE_GRID = ["power", "--p1", "0.25", "--r", "2000", "--s", "1500", "--axis", "q1",
+                       "--delta", "0.9", "--values", "0.9,0.95"]
+
+    @pytest.mark.parametrize("args, code", [
+        (["--pen", "0.4,0.25,0.1", "--alpha", "5"], 1),
+        (["--pen", "0.4,0.25,0.1", "--alpha", "1e-8", "--pi-hats", "1.5"], 1),
+        (["--pen", "0.4,0.25,0.1", "--alpha", "1e-8", "--delta-weight", "7"], 1),
+        (["--pen", "0,0,0", "--alpha", "1e-8"], 3),
+    ])
+    def test_invalid_arguments_rejected_on_infeasible_grid(self, args, code, tmp_path, capsys):
+        out = tmp_path / "power.csv"
+        assert main(self.INFEASIBLE_GRID + args + ["--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", [MAX_SWEEP_POINTS + 1, 10**15])
+    def test_sweep_point_count_is_bounded(self, n, tmp_path, capsys):
+        out = tmp_path / "power.csv"
+        code = main(["power", "--p1", "0.05", "--pen", "0.60,0.35,0.10", "--delta", "0.3",
+                     "--r", "1000", "--s", "1000", "--alpha", "1e-8", "--axis", "q1",
+                     "--sweep", f"0.01:0.99:{n}", "--out", str(out)])
+        assert code == 1
+        assert f"at most {MAX_SWEEP_POINTS} points" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_spec(self, capsys):
         code = main(["power", "--p1", "0.05", "--pen", "0.60,0.35,0.10",

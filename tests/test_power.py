@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alleletest.model import (
     DesignConstants,
+    FeasibilityError,
     MarkerSpec,
     PenetranceModel,
     b_term,
@@ -17,6 +20,8 @@ from alleletest.model import (
     q_term,
 )
 from alleletest.power import (
+    GRID_AXES,
+    PowerPoint,
     noncentrality,
     power_grid,
     power_t,
@@ -280,3 +285,94 @@ class TestPowerGrid:
         )
         for value in (point.power_t, point.power_w, point.power_w_delta, point.power_u):
             assert value == pytest.approx(1e-6, abs=1e-12)
+
+
+def reference_grid(model, design, *, axis, values, alpha, q1=None, delta=None,
+                   delta_weight=None, pi_hat_values=None):
+    """``power_grid`` as it was written point by point, before the sweep was
+    vectorized: one ``population_summary`` and the scalar power functions per
+    (coordinate, pi_hat) pair."""
+    pi_hats = tuple(pi_hat_values) if pi_hat_values else (None,)
+    pi = prevalence(model)
+    points = []
+    for value in values:
+        coord_q1 = value if axis == "q1" else q1
+        coord_delta = value if axis == "delta" else delta
+        coord_dw = value if axis == "delta_weight" else delta_weight
+        eff_dw = pi if coord_dw is None else coord_dw
+        for pi_hat in pi_hats:
+            eff_pi = pi if pi_hat is None else pi_hat
+            try:
+                marker = MarkerSpec(q1=coord_q1, delta=coord_delta)
+                summary = population_summary(model, marker)
+            except FeasibilityError:
+                feasible = False
+                p_t = p_w = p_wd = p_u = None
+            else:
+                feasible = True
+                q_ratio = q_term(summary, design.lam)
+                m = design.m
+                p_t = power_t(m, summary.b, coord_delta, q_ratio, alpha)
+                if pi_hat is None:
+                    p_w = power_w(m, summary.b, coord_delta, q_ratio, alpha)
+                else:
+                    p_w = power_w_delta(model, marker, design, eff_pi, alpha)
+                p_wd = power_w_delta(model, marker, design, eff_dw, alpha)
+                p_u = power_u(m, summary.b, coord_delta, q_ratio, alpha)
+            points.append(PowerPoint(
+                q1=coord_q1, delta=coord_delta, delta_weight=eff_dw, pi_hat=eff_pi,
+                alpha=alpha, power_t=p_t, power_w=p_w, power_w_delta=p_wd, power_u=p_u,
+                feasible=feasible,
+            ))
+    return points
+
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+inner = st.floats(min_value=0.001, max_value=0.999)
+
+
+@st.composite
+def sweeps(draw):
+    """A random model and design with a sweep over one axis. The LD
+    correlation (fixed or swept) includes values exactly on the bounds of
+    ``delta_bounds`` and 1e-12 either side of them."""
+    p1 = draw(st.floats(min_value=0.01, max_value=0.99))
+    model = PenetranceModel(p1, draw(inner), draw(inner), draw(inner))
+    design = DesignConstants(draw(st.integers(1, 5000)), draw(st.integers(1, 5000)))
+    axis = draw(st.sampled_from(GRID_AXES))
+    q1 = draw(inner)
+    lo, hi = delta_bounds(p1, q1)
+    edges = [d for b in (lo, hi) for d in (b - 1e-12, b, b + 1e-12) if -1.0 <= d <= 1.0]
+    deltas = st.one_of(st.sampled_from(edges), st.floats(min_value=-1.0, max_value=1.0))
+    coordinate = {"q1": inner, "delta": deltas, "delta_weight": unit}[axis]
+    values = draw(st.lists(coordinate, min_size=1, max_size=12))
+    if axis == "q1":
+        values.append(q1)  # the fixed delta may sit on a bound at this q1
+    kwargs = {
+        "axis": axis,
+        "values": values,
+        "alpha": draw(st.sampled_from([0.05, 1e-3, 1e-8]) | st.floats(1e-12, 0.5)),
+        "q1": None if axis == "q1" else q1,
+        "delta": None if axis == "delta" else draw(deltas),
+        "delta_weight": None if axis == "delta_weight" else draw(st.none() | unit),
+        "pi_hat_values": draw(st.none() | st.lists(st.none() | unit, min_size=1, max_size=3)),
+    }
+    return model, design, kwargs
+
+
+class TestPowerGridMatchesPointwise:
+    @given(sweeps())
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_equals_reference_loop_bitwise(self, case):
+        model, design, kwargs = case
+        assert power_grid(model, design, **kwargs) == reference_grid(model, design, **kwargs)
+
+    def test_bounds_are_feasible_within_tolerance(self):
+        lo, hi = delta_bounds(0.25, 0.1)
+        values = [lo - 2e-12, lo - 1e-12, lo, hi, hi + 1e-12, hi + 2e-12]
+        kwargs = {"axis": "delta", "values": values, "alpha": 1e-8, "q1": 0.1,
+                  "pi_hat_values": [0.05, None]}
+        model = PenetranceModel(p1=0.25, pen11=0.4, pen12=0.25, pen22=0.1)
+        points = power_grid(model, DesignConstants(2000, 1500), **kwargs)
+        assert points == reference_grid(model, DesignConstants(2000, 1500), **kwargs)
+        assert [p.feasible for p in points[::2]] == [False, True, True, True, True, False]
