@@ -25,7 +25,13 @@ from .model import (
     population_summary,
     q_term,
 )
-from .stats import CORRECTION_DIRECTIONS, AlleleCounts, evaluate_arrays
+from .stats import (
+    CORRECTION_DIRECTIONS,
+    MAX_ALLELE_TOTAL,
+    AlleleCounts,
+    report_arrays,
+    report_rows,
+)
 from .stats import evaluate_counts  # noqa: F401 (bench/tracing.py wraps it)
 
 __all__ = [
@@ -58,8 +64,9 @@ SCAN_COLUMNS = (
     "w_abs_rank",
 )
 
-# Largest --sweep point count, 500 times the benchmark's power grid; it
-# bounds the memory a sweep can ask for before anything is allocated.
+# Largest number of power points (grid coordinates times pi-hats), 500 times
+# the benchmark's power grid; it bounds the memory a sweep can ask for before
+# anything is allocated.
 MAX_SWEEP_POINTS = 10**6
 
 LOCALITY_NOTE = (
@@ -78,18 +85,23 @@ class CountsFileError(ValueError):
         self.line_no = line_no
 
 
-def parse_counts_file(path: str) -> list[tuple[str, AlleleCounts]]:
-    """Parse a marker counts table.
+def parse_counts_file(path: str) -> tuple[list[str], np.ndarray]:
+    """Parse a marker counts table into its marker ids and an ``(n, 4)`` int64
+    array of ``case_m1 case_m2 ctrl_m1 ctrl_m2`` counts.
 
     Whitespace-separated columns ``marker_id case_m1 case_m2 ctrl_m1
     ctrl_m2``; ``#`` starts a comment line; the header row is required and
-    validated. Duplicate marker ids, negative counts, odd group totals and
-    totals above ``stats.MAX_ALLELE_TOTAL`` are rejected with the offending line
-    number.
+    validated. Counts are read by ``int()``. Duplicate marker ids, negative
+    counts, odd group totals and totals above ``stats.MAX_ALLELE_TOTAL`` are
+    rejected at the first offending line, with the messages of
+    :class:`~alleletest.stats.AlleleCounts`.
     """
-    rows: list[tuple[str, AlleleCounts]] = []
+    ids: list[str] = []
+    values: list[int] = []
+    line_nos: list[int] = []
     seen: set[str] = set()
     header_seen = False
+    error = None
     with open(path, "rt", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -105,27 +117,52 @@ def parse_counts_file(path: str) -> list[tuple[str, AlleleCounts]]:
                 header_seen = True
                 continue
             if len(fields) != 5:
-                raise CountsFileError(
+                error = CountsFileError(
                     f"expected 5 fields, got {len(fields)}: {line!r}", line_no
                 )
+                break
             marker_id = fields[0]
             if marker_id in seen:
-                raise CountsFileError(f"duplicate marker_id {marker_id!r}", line_no)
+                error = CountsFileError(f"duplicate marker_id {marker_id!r}", line_no)
+                break
             seen.add(marker_id)
             try:
-                r1, r2, s1, s2 = (int(f) for f in fields[1:])
+                values.extend([int(fields[1]), int(fields[2]), int(fields[3]), int(fields[4])])
             except ValueError:
-                raise CountsFileError(f"non-integer count in {line!r}", line_no) from None
-            try:
-                counts = AlleleCounts(r1, r2, s1, s2)
-            except ValueError as exc:
-                raise CountsFileError(str(exc), line_no) from None
-            rows.append((marker_id, counts))
+                error = CountsFileError(f"non-integer count in {line!r}", line_no)
+                break
+            ids.append(marker_id)
+            line_nos.append(line_no)
+    try:
+        counts = np.array(values, dtype=np.int64).reshape(-1, 4)
+    except OverflowError:  # such a count is out of range: clamp it, keeping its sign
+        bounded = [min(max(v, -1), MAX_ALLELE_TOTAL + 1) for v in values]
+        counts = np.array(bounded, dtype=np.int64).reshape(-1, 4)
+    bad = np.flatnonzero(_out_of_range(counts))
+    if bad.size:  # a range error comes before any error on a later line
+        i = int(bad[0])
+        try:
+            AlleleCounts(*values[4 * i : 4 * i + 4])
+        except ValueError as exc:
+            raise CountsFileError(str(exc), line_nos[i]) from None
+    if error is not None:
+        raise error
     if not header_seen:
         raise CountsFileError("empty counts file (header row is required)")
-    if not rows:
+    if not ids:
         raise CountsFileError("no marker rows found after the header")
-    return rows
+    return ids, counts
+
+
+def _out_of_range(counts: np.ndarray) -> np.ndarray:
+    """Mask of the ``(n, 4)`` count rows that :class:`AlleleCounts` rejects."""
+    # Each count is bounded before the totals are summed, so no sum can wrap.
+    bounded = np.clip(counts, -1, MAX_ALLELE_TOTAL + 1)
+    totals = bounded[:, 0::2] + bounded[:, 1::2]
+    return (
+        (bounded < 0).any(axis=1)
+        | ((totals < 2) | (totals % 2 == 1) | (totals > MAX_ALLELE_TOTAL)).any(axis=1)
+    )
 
 
 def _use_config(ctx: click.Context, param: click.Parameter, value: str | None):
@@ -228,41 +265,35 @@ def model_cmd(p1, pen, q1, delta, r, s):
     click.echo(json.dumps(payload, indent=2))
 
 
-def _scan_rows(
-    rows: list[tuple[str, AlleleCounts]], pi_hat: float, ci_level: float, direction: str
+# Markers per formatted block. Each block is one write, so the formatted text
+# and the Python floats held at any time do not grow with the file.
+SCAN_BLOCK_ROWS = 4096
+_OK_ROW = "%s" + "\t%.17g" * 13 + "\tok\t%d\n"
+
+
+def _scan_blocks(
+    ids: list[str], counts: np.ndarray, pi_hat: float, ci_level: float, direction: str
 ) -> Iterator[str]:
-    counts = np.array(
-        [(c.r1, c.r1 + c.r2, c.s1, c.s1 + c.s2) for _, c in rows], dtype=np.int64
-    )
-    arrays, reports = evaluate_arrays(
-        *counts.T, pi_hat, ci_level=ci_level, direction=direction
+    r1, r2, s1, s2 = counts.T
+    arrays, z = report_arrays(
+        r1, r1 + r2, s1, s1 + s2, pi_hat, ci_level=ci_level, direction=direction
     )
     ranked = np.flatnonzero(~arrays.degenerate)
     ranked = ranked[np.argsort(-np.abs(arrays.w[ranked]), kind="stable")]
-    rank = np.zeros(len(rows), dtype=np.int64)
+    rank = np.zeros(len(ids), dtype=np.int64)
     rank[ranked] = np.arange(1, ranked.size + 1)
-    yield "\t".join(SCAN_COLUMNS)
-    for (marker_id, _), rep, pos in zip(rows, reports, rank.tolist()):
-        ci_lo, ci_hi = rep.effect_ci if rep.effect_ci is not None else (None, None)
-        cells = [
-            marker_id,
-            _fmt(rep.q_hat_ctrl),
-            _fmt(rep.q_hat_case),
-            _fmt(rep.t_stat),
-            _fmt(rep.p_t),
-            _fmt(rep.w_stat),
-            _fmt(rep.p_w),
-            _fmt(rep.w_cor_stat),
-            _fmt(rep.u_stat),
-            _fmt(rep.p_u),
-            _fmt(rep.q_hat),
-            _fmt(rep.effect_ratio),
-            _fmt(ci_lo),
-            _fmt(ci_hi),
-            ";".join(rep.flags) if rep.flags else "ok",
-            str(pos) if pos else "",
-        ]
-        yield "\t".join(cells)
+    yield "\t".join(SCAN_COLUMNS) + "\n"
+    for start in range(0, len(ids), SCAN_BLOCK_ROWS):
+        stop = start + SCAN_BLOCK_ROWS
+        lines = []
+        for marker_id, (*cells, flags), pos in zip(
+            ids[start:stop], report_rows(arrays, z, start, stop), rank[start:stop].tolist()
+        ):
+            if flags:  # degenerate: empty cells for what is undefined, no rank
+                lines.append("\t".join([marker_id, *map(_fmt, cells), ";".join(flags), "\n"]))
+            else:
+                lines.append(_OK_ROW % (marker_id, *cells, pos))
+        yield "".join(lines)
 
 
 @cli.command("scan")
@@ -275,16 +306,27 @@ def _scan_rows(
 @_config_option
 def scan_cmd(counts_path, pi_hat, out, ci_level, direction, warn_locality):
     """Scan a counts table: one row of statistics and p-values per marker."""
-    rows = parse_counts_file(counts_path)
+    ids, counts = parse_counts_file(counts_path)
+    blocks = _scan_blocks(ids, counts, pi_hat, ci_level, direction)
+    header = next(blocks)  # checks the arguments before the output is opened
     handle = _open_out(out)
     try:
-        for line in _scan_rows(rows, pi_hat, ci_level, direction):
-            handle.write(line + "\n")
+        handle.write(header)
+        for block in blocks:
+            handle.write(block)
     finally:
         _close_out(handle)
     if warn_locality:
         click.echo(LOCALITY_NOTE, err=True)
-    click.echo(f"scanned {len(rows)} markers", err=True)
+    click.echo(f"scanned {len(ids)} markers", err=True)
+
+
+def _check_point_count(n: int) -> None:
+    if n > MAX_SWEEP_POINTS:
+        raise click.UsageError(
+            f"a power sweep allows at most {MAX_SWEEP_POINTS} points "
+            f"(grid coordinates times pi-hats), got {n}"
+        )
 
 
 def _default_grid(axis: str, p1: float, q1: float | None) -> list[float]:
@@ -334,8 +376,7 @@ def power_cmd(p1, pen, q1, delta, delta_weight, r, s, alpha, axis, values, sweep
             raise click.UsageError(f"--sweep expects numbers lo:hi:n, got {sweep!r}") from None
         if n < 1:
             raise click.UsageError("--sweep needs at least one point")
-        if n > MAX_SWEEP_POINTS:
-            raise click.UsageError(f"--sweep allows at most {MAX_SWEEP_POINTS} points, got {n}")
+        _check_point_count(n)  # before the grid is allocated
         grid = list(np.linspace(lo, hi, n))
     else:
         grid = _default_grid(axis, p1, q1)
@@ -345,6 +386,7 @@ def power_cmd(p1, pen, q1, delta, delta_weight, r, s, alpha, axis, values, sweep
     pi_hat_values = None
     if pi_hats is not None:
         pi_hat_values = list(_parse_float_list(pi_hats, "--pi-hats"))
+    _check_point_count(len(grid) * max(1, len(pi_hat_values or ())))
     points = power_mod.power_grid(
         model,
         design,

@@ -108,8 +108,22 @@ def _u_power(q_ratio, p_w, p_t):
     return np.where(q_ratio < 1.0, p_w, p_t)
 
 
-def _w_delta_power(sqrt_m, q1_ctrl, q1_case, g, weight, z):
+def _mixed_product(name, weight, q1_ctrl, q1_case):
+    """``frequency_mixture`` at ``weight``, rejecting a weight that makes it 0
+    anywhere: the W_delta mean and variance divide by it."""
     x = frequency_mixture(q1_ctrl, q1_case, weight)
+    zero = ~(np.asarray(x) > 0.0)
+    if zero.any():
+        bad = np.broadcast_to(weight, zero.shape)[zero][0]
+        raise ValueError(
+            f"{name} {float(bad)!r} makes the mixed marker frequency product 0, "
+            "where the W_delta power is undefined"
+        )
+    return x
+
+
+def _w_delta_power(sqrt_m, q1_ctrl, q1_case, g, x, z):
+    """``x`` is the :func:`_mixed_product` at the weight."""
     mu = sqrt_m * (q1_ctrl - q1_case) / np.sqrt(x)
     sigma = np.sqrt(g / x)
     return ndtr((mu - z) / sigma) + ndtr((-z - mu) / sigma)
@@ -147,15 +161,17 @@ def power_w_delta(
     frequencies and ``g`` the sampling-weighted variance mixture. At
     ``delta_weight == prevalence`` this reduces to :func:`power_w`. For a
     marker whose minor allele M1 is positively associated with the disease
-    the power is largest at weight 0 and smallest at weight 1.
+    the power is largest at weight 0 and smallest at weight 1. A weight at
+    which ``x`` is 0 (the power is undefined there) raises ``ValueError``.
     """
     check_weight("delta_weight", delta_weight)
     _check_alpha(alpha)
     summary = population_summary(model, marker)
     q1_case, q1_ctrl = summary.q1_case, summary.q1_ctrl
     g = variance_mixture(q1_ctrl, q1_case, design.lam)
+    x = _mixed_product("delta_weight", delta_weight, q1_ctrl, q1_case)
     z = two_sided_critical_value(alpha)
-    return float(_w_delta_power(math.sqrt(design.m), q1_ctrl, q1_case, g, delta_weight, z))
+    return float(_w_delta_power(math.sqrt(design.m), q1_ctrl, q1_case, g, x, z))
 
 
 def power_u(m: float, b: float, delta: float, q_ratio: float, alpha: float) -> float:
@@ -219,9 +235,11 @@ def power_grid(
     one raises whether or not any coordinate is feasible: the coordinates in
     grid order (``ValueError``), the prevalence
     (:class:`~alleletest.model.DegeneratePrevalenceError`), then the Q of
-    each feasible point, ``alpha`` and the ``pi_hat_values``
-    (``ValueError``). The sweep derives the model once and evaluates all
-    coordinates as arrays, with the same arithmetic as the scalar functions.
+    each feasible point, ``alpha``, the ``pi_hat_values``, and last any
+    weight or pi-hat that makes a feasible point's mixed marker frequency
+    product 0, where the W_delta power is undefined (``ValueError``). The
+    sweep derives the model once and evaluates all coordinates as arrays,
+    with the same arithmetic as the scalar functions.
     """
     if axis not in GRID_AXES:
         raise ValueError(f"axis must be one of {GRID_AXES}, got {axis!r}")
@@ -261,6 +279,11 @@ def power_grid(
     for pi_hat in pi_hats:
         if pi_hat is not None:
             check_weight("pi_hat", pi_hat)
+    x_weights = _mixed_product("delta_weight", weights[ok], q1_ctrl, q1_case)
+    x_pi_hats = [
+        None if pi_hat is None else _mixed_product("pi_hat", pi_hat, q1_ctrl, q1_case)
+        for pi_hat in pi_hats
+    ]
 
     z = two_sided_critical_value(alpha)
     mu = noncentrality(design.m, b_term(model), deltas[ok])
@@ -275,11 +298,11 @@ def power_grid(
     powers[ok] = np.column_stack(
         [
             p_t,
-            _w_delta_power(sqrt_m, q1_ctrl, q1_case, g, weights[ok], z),
+            _w_delta_power(sqrt_m, q1_ctrl, q1_case, g, x_weights, z),
             _u_power(q_ratio, p_w, p_t),
             *(
-                p_w if pi_hat is None else _w_delta_power(sqrt_m, q1_ctrl, q1_case, g, pi_hat, z)
-                for pi_hat in pi_hats
+                p_w if x is None else _w_delta_power(sqrt_m, q1_ctrl, q1_case, g, x, z)
+                for x in x_pi_hats
             ),
         ]
     )

@@ -53,7 +53,8 @@ __all__ = [
     "two_sided_critical_value",
     "effect_size",
     "evaluate_counts",
-    "evaluate_arrays",
+    "report_arrays",
+    "report_rows",
     "CORRECTION_DIRECTIONS",
     "MAX_ALLELE_TOTAL",
 ]
@@ -439,60 +440,51 @@ def effect_size(
     )
 
 
-def _reports(arrays: StatArrays, z: float | None) -> Iterator[TestReport]:
-    """Per-table reports, with p-values and intervals on Python floats.
-
-    ``z`` is the interval's normal quantile; degenerate tables do not read it.
-    """
-    per_table = arrays[:-2]  # all but the per-weight maps
-    for q_ctrl, q_case, t, w, w_cor, u, qh, se, degenerate, monomorphic in zip(
-        *(np.atleast_1d(c).tolist() for c in per_table)
-    ):
-        if degenerate:
-            t = w = w_cor = u = qh = ratio = ci = None
-            p_t = p_w = p_u = None if monomorphic else 1.0
-            if monomorphic:
-                flags = ("monomorphic",)
-            elif q_case > 0.0:
-                flags = ("degenerate",)
-            else:
-                flags = ("degenerate", "undefined_ratio")
-        else:
-            ratio, lo, hi = _ratio_ci(q_ctrl, q_case, se, z)
-            ci = (lo, hi)
-            p_t, p_w, p_u = p_value(t), p_value(w), p_value(u)
-            flags = ()
-        yield TestReport(
-            q_hat_ctrl=q_ctrl,
-            q_hat_case=q_case,
-            t_stat=t,
-            w_stat=w,
-            w_cor_stat=w_cor,
-            u_stat=u,
-            p_t=p_t,
-            p_w=p_w,
-            p_u=p_u,
-            q_hat=qh,
-            effect_ratio=ratio,
-            effect_ci=ci,
-            degenerate=degenerate,
-            flags=flags,
-        )
-
-
-def evaluate_arrays(
+def report_arrays(
     r1, n1, s1, n0, pi_hat: float, *, ci_level=0.95, direction="toward_zero"
-) -> tuple[StatArrays, Iterator[TestReport]]:
-    """Kernel output and, lazily and in order, the report of every table.
+) -> tuple[StatArrays, float | None]:
+    """Kernel output for the reports of many tables, and the interval quantile.
 
-    Takes the count arrays of :func:`statistic_arrays`; each report is the
-    one :func:`evaluate_counts` gives for that table. ``pi_hat`` and, unless
-    every table is degenerate, ``ci_level`` are checked before this returns.
+    Takes the count arrays of :func:`statistic_arrays`. ``pi_hat`` and,
+    unless every table is degenerate, ``ci_level`` are checked first; the
+    quantile is None when no table has an interval.
     """
     _check_pi_hat(pi_hat)
     arrays = statistic_arrays(r1, n1, s1, n0, pi_hat, direction=direction)
     z = None if np.all(arrays.degenerate) else _ci_quantile(ci_level)
-    return arrays, _reports(arrays, z)
+    return arrays, z
+
+
+def report_rows(
+    arrays: StatArrays, z: float | None, start: int = 0, stop: int | None = None
+) -> Iterator[tuple]:
+    """Report cells of tables ``start:stop``, in the order of ``cli.SCAN_COLUMNS``.
+
+    Yields ``(q_ctrl, q_case, t, p_t, w, p_w, w_cor, u, p_u, q_hat, ratio,
+    ci_lo, ci_hi, flags)`` per table, on Python floats, with p-values and
+    intervals from ``math``. Degenerate tables get no statistics and p-values
+    of 1.0, monomorphic ones no p-values either; ``flags`` is empty for clean
+    tables. ``z`` is the interval's normal quantile; degenerate tables do not
+    read it.
+    """
+    per_table = arrays[:-2]  # all but the per-weight maps
+    for q_ctrl, q_case, t, w, w_cor, u, qh, se, degenerate, monomorphic in zip(
+        *(np.atleast_1d(c)[start:stop].tolist() for c in per_table)
+    ):
+        if not degenerate:
+            ratio, lo, hi = _ratio_ci(q_ctrl, q_case, se, z)
+            yield (
+                q_ctrl, q_case, t, p_value(t), w, p_value(w), w_cor, u, p_value(u),
+                qh, ratio, lo, hi, (),
+            )
+            continue
+        if monomorphic:
+            p, flags = None, ("monomorphic",)
+        elif q_case > 0.0:
+            p, flags = 1.0, ("degenerate",)
+        else:
+            p, flags = 1.0, ("degenerate", "undefined_ratio")
+        yield (q_ctrl, q_case, None, p, None, p, None, None, p, None, None, None, None, flags)
 
 
 def evaluate_counts(
@@ -511,5 +503,27 @@ def evaluate_counts(
     seen at all.
     """
     _check_pi_hat(pi_hat)
-    arrays = _table_arrays(counts, design, pi_hat, direction)
-    return next(_reports(arrays, None if counts.degenerate else _ci_quantile(ci_level)))
+    _resolve_design(counts, design)
+    n1, n0 = counts.r1 + counts.r2, counts.s1 + counts.s2
+    arrays, z = report_arrays(
+        counts.r1, n1, counts.s1, n0, pi_hat, ci_level=ci_level, direction=direction
+    )
+    q_ctrl, q_case, t, p_t, w, p_w, w_cor, u, p_u, qh, ratio, lo, hi, flags = next(
+        report_rows(arrays, z)
+    )
+    return TestReport(
+        q_hat_ctrl=q_ctrl,
+        q_hat_case=q_case,
+        t_stat=t,
+        w_stat=w,
+        w_cor_stat=w_cor,
+        u_stat=u,
+        p_t=p_t,
+        p_w=p_w,
+        p_u=p_u,
+        q_hat=qh,
+        effect_ratio=ratio,
+        effect_ci=None if ratio is None else (lo, hi),
+        degenerate=counts.degenerate,
+        flags=flags,
+    )

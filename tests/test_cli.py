@@ -2,9 +2,20 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from alleletest.cli import MAX_SWEEP_POINTS, CountsFileError, main, parse_counts_file, SCAN_COLUMNS
+from alleletest.cli import (
+    COUNTS_HEADER,
+    MAX_SWEEP_POINTS,
+    SCAN_COLUMNS,
+    CountsFileError,
+    main,
+    parse_counts_file,
+)
+from alleletest.stats import AlleleCounts
 
 VALID_FILE = """\
 # marker counts for the worked example
@@ -26,9 +37,10 @@ def counts_file(tmp_path):
 
 class TestParseCountsFile:
     def test_valid_file(self, counts_file):
-        rows = parse_counts_file(counts_file)
-        assert [marker for marker, _ in rows] == ["rs1", "rs2", "rs3", "rs4"]
-        assert rows[0][1].r1 == 290 and rows[0][1].s2 == 1816
+        ids, counts = parse_counts_file(counts_file)
+        assert ids == ["rs1", "rs2", "rs3", "rs4"]
+        assert counts.shape == (4, 4) and counts.dtype == np.int64
+        assert counts[0, 0] == 290 and counts[0, 3] == 1816
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -101,6 +113,111 @@ class TestParseCountsFile:
             parse_counts_file(str(path))
 
 
+def reference_parse(path):
+    """``parse_counts_file`` as it was written row by row, before it became
+    columnar: one validated ``AlleleCounts`` per marker row. Only the return
+    is new: the ids and the count rows as lists."""
+    rows = []
+    seen = set()
+    header_seen = False
+    with open(path, "rt", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split()
+            if not header_seen:
+                if tuple(fields) != COUNTS_HEADER:
+                    raise CountsFileError(
+                        f"expected header {' '.join(COUNTS_HEADER)!r}, got {line!r}",
+                        line_no,
+                    )
+                header_seen = True
+                continue
+            if len(fields) != 5:
+                raise CountsFileError(
+                    f"expected 5 fields, got {len(fields)}: {line!r}", line_no
+                )
+            marker_id = fields[0]
+            if marker_id in seen:
+                raise CountsFileError(f"duplicate marker_id {marker_id!r}", line_no)
+            seen.add(marker_id)
+            try:
+                r1, r2, s1, s2 = (int(f) for f in fields[1:])
+            except ValueError:
+                raise CountsFileError(f"non-integer count in {line!r}", line_no) from None
+            try:
+                counts = AlleleCounts(r1, r2, s1, s2)
+            except ValueError as exc:
+                raise CountsFileError(str(exc), line_no) from None
+            rows.append((marker_id, counts))
+    if not header_seen:
+        raise CountsFileError("empty counts file (header row is required)")
+    if not rows:
+        raise CountsFileError("no marker rows found after the header")
+    return [m for m, _ in rows], [[c.r1, c.r2, c.s1, c.s2] for _, c in rows]
+
+
+def _outcome(parse, path):
+    """Ids and count rows, or the error's message and line number."""
+    try:
+        ids, counts = parse(path)
+    except CountsFileError as exc:
+        return "error", str(exc), exc.line_no
+    return "ok", ids, np.asarray(counts, dtype=np.int64).tolist()
+
+
+BIG = 2**70
+HEADER = "\t".join(COUNTS_HEADER)
+_small = st.integers(0, 12)
+# Group counts with an even total >= 2, so that most rows are valid.
+_group = st.integers(1, 8).flatmap(lambda k: st.tuples(st.integers(0, 2 * k), st.just(2 * k)))
+_valid_row = st.tuples(_group, _group).map(
+    lambda g: [str(g[0][0]), str(g[0][1] - g[0][0]), str(g[1][0]), str(g[1][1] - g[1][0])]
+)
+_field = st.one_of(
+    _small.map(str),
+    _small.map(lambda v: f"+{v}"),
+    st.sampled_from(["1_000", "1_002", "-1", "-2", "2.5", "x", "", "0x10", str(2**53),
+                     str(BIG), str(-BIG), str(2**63), str(-(2**63) - 1)]),
+)
+# A valid row with one field swapped for an arbitrary one.
+_odd_row = st.tuples(_valid_row, st.integers(0, 3), _field).map(
+    lambda t: t[0][: t[1]] + [t[2]] + t[0][t[1] + 1 :]
+)
+_row = st.tuples(
+    st.sampled_from(["rs1", "rs2", "rs3", "m4", "m5", "#m6"]),
+    st.one_of(_valid_row, _valid_row, _odd_row, st.lists(_field, min_size=3, max_size=6)),
+    st.sampled_from(["\t", " ", "  \t", "\x0c"]),  # a form feed separates fields, but is no line end
+).map(lambda t: t[2].join([t[0], *t[1]]))
+_filler = st.sampled_from(["", "   ", "# note"])
+
+
+@st.composite
+def counts_files(draw):
+    """Text of a small counts file: mostly a header and valid rows, with blank,
+    comment, CRLF and malformed lines mixed in."""
+    lines = draw(st.lists(_filler, max_size=2))
+    if draw(st.integers(0, 9)):  # a header, nine times in ten
+        lines.append(HEADER)
+    lines += draw(st.lists(st.one_of(_row, _row, _row, _row, _filler), min_size=1, max_size=10))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, endings))
+
+
+class TestParseMatchesRowLoop:
+    @given(counts_files())
+    @example(f"{HEADER}\nrs1\t2\t2\t2\t2\nrs2\t{BIG}\t0\t2\t2\nrs3\t2.5\t1\t2\t2\n")
+    @example(f"{HEADER}\r\nrs1\t-{BIG}\t2\t2\t2\r\nrs2\t1\t1\r\n")
+    @example(f"{HEADER}\nrs1\t+5\t1_000\t1\t1\nrs1\t3\t3\t2\t2\n")
+    @settings(max_examples=200, deadline=None)
+    def test_same_rows_or_same_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("counts") / "counts.tsv"
+        with open(path, "wt", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert _outcome(parse_counts_file, str(path)) == _outcome(reference_parse, str(path))
+
+
 class TestScanCommand:
     def test_row_count_and_columns(self, counts_file, capsys):
         code = main(["scan", "--counts", counts_file, "--pi-hat", "0.15"])
@@ -161,6 +278,13 @@ class TestScanCommand:
 
     def test_missing_pi_hat_is_usage_error(self, counts_file, capsys):
         assert main(["scan", "--counts", counts_file]) == 1
+
+    @pytest.mark.parametrize("bad", [["--pi-hat", "1.5"], ["--pi-hat", "0.1", "--ci-level", "2"]])
+    def test_invalid_argument_leaves_existing_output_untouched(self, bad, counts_file, tmp_path):
+        out = tmp_path / "results.tsv"
+        out.write_text("earlier results\n")
+        assert main(["scan", "--counts", counts_file, *bad, "--out", str(out)]) == 1
+        assert out.read_text() == "earlier results\n"
 
     def test_invalid_ci_level_fails_before_any_output(self, tmp_path, capsys):
         header = "marker_id\tcase_m1\tcase_m2\tctrl_m1\tctrl_m2\n"
@@ -290,6 +414,46 @@ class TestPowerCommand:
                      "--sweep", f"0.01:0.99:{n}", "--out", str(out)])
         assert code == 1
         assert f"at most {MAX_SWEEP_POINTS} points" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--values", ",".join(["0.2"] * 9901)],
+            ["--sweep", "0.01:0.99:9901"],
+            [],  # the default grid, 99 coordinates
+        ],
+        ids=["values", "sweep", "default"],
+    )
+    def test_point_count_bounds_coordinates_times_pi_hats(self, grid, tmp_path, capsys):
+        n_coords, n_pi_hats = (9901, 101) if grid else (99, 10102)
+        assert n_coords * n_pi_hats in (MAX_SWEEP_POINTS + 1, MAX_SWEEP_POINTS + 98)
+        out = tmp_path / "power.csv"
+        code = main(["power", "--p1", "0.05", "--pen", "0.60,0.35,0.10", "--delta", "0.3",
+                     "--r", "1000", "--s", "1000", "--alpha", "1e-8", "--axis", "q1", *grid,
+                     "--pi-hats", ",".join(["0.1"] * n_pi_hats), "--out", str(out)])
+        assert code == 1
+        assert f"at most {MAX_SWEEP_POINTS} points" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["--q1", "0.5", "--delta", "-1", "--axis", "delta_weight"], "delta_weight 0.0"),
+            (["--delta", "-1", "--values", "0.5", "--delta-weight", "0"], "delta_weight 0.0"),
+            (["--delta", "-1", "--values", "0.5", "--pi-hats", "0.5,0"], "pi_hat 0.0"),
+        ],
+        ids=["weight-axis", "fixed-weight", "pi-hat"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_weight_with_undefined_w_delta_rejected(self, args, name, tmp_path, capsys):
+        # q1_ctrl clamps to 1 here, so weight 0 leaves a mixed frequency product of 0
+        out = tmp_path / "power.csv"
+        code = main(["power", "--p1", "0.5", "--pen", "1,1,0.9669323285435206",
+                     "--r", "1064", "--s", "3915", "--alpha", "0.5", *args, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert name in err and "undefined" in err
         assert not out.exists()
 
     def test_sweep_spec(self, capsys):

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from alleletest import cli
 from alleletest.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -67,6 +68,14 @@ def _run(name: str, out: Path) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden_file(name, tmp_path, capsys):
+    expected = (DATA / name).read_text(encoding="utf-8")
+    assert _run(name, tmp_path / name) == expected
+
+
+@pytest.mark.parametrize("name", ["scan_toward_zero.tsv", "scan_away_from_zero.tsv"])
+def test_scan_output_does_not_depend_on_block_size(name, tmp_path, monkeypatch, capsys):
+    # 299 rows make 42 blocks of 7 and a last block of 5
+    monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", 7)
     expected = (DATA / name).read_text(encoding="utf-8")
     assert _run(name, tmp_path / name) == expected
 

@@ -167,6 +167,35 @@ class TestWDelta:
         assert values[0] > values[-1]
 
 
+class TestUndefinedWDelta:
+    """q1_ctrl clamps to 1 at this marker, so a weight of 0 on cases leaves
+    the mixed frequency product of W_delta at 0."""
+
+    MODEL = PenetranceModel(p1=0.5, pen11=1.0, pen12=1.0, pen22=0.9669323285435206)
+    MARKER = MarkerSpec(q1=0.5, delta=-1.0)
+    DESIGN = DesignConstants(1064, 3915)
+
+    def test_scalar_power_rejects_the_weight(self):
+        assert marker_conditional_freqs(self.MODEL, self.MARKER)[1] == 1.0
+        with pytest.raises(ValueError, match="delta_weight 0.0 .* undefined"):
+            power_w_delta(self.MODEL, self.MARKER, self.DESIGN, 0.0, 0.5)
+        assert 0.0 <= power_w_delta(self.MODEL, self.MARKER, self.DESIGN, 0.1, 0.5) <= 1.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"axis": "delta_weight", "values": [0.5, 0.0], "q1": 0.5, "delta": -1.0}, "delta_weight"),
+            ({"axis": "q1", "values": [0.5], "delta": -1.0, "delta_weight": 0.0}, "delta_weight"),
+            ({"axis": "q1", "values": [0.5], "delta": -1.0, "pi_hat_values": [0.5, 0.0]}, "pi_hat"),
+        ],
+        ids=["weight-axis", "fixed-weight", "pi-hat"],
+    )
+    def test_grid_rejects_the_weight(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} 0.0 .* undefined"):
+            power_grid(self.MODEL, self.DESIGN, alpha=0.5, **kwargs)
+
+
 class TestBranchSelection:
     def test_u_matches_selected_branch_exactly(self):
         cases = [
@@ -365,7 +394,14 @@ class TestPowerGridMatchesPointwise:
     @settings(max_examples=200, deadline=None)
     def test_sweep_equals_reference_loop_bitwise(self, case):
         model, design, kwargs = case
-        assert power_grid(model, design, **kwargs) == reference_grid(model, design, **kwargs)
+        try:
+            expected = reference_grid(model, design, **kwargs)
+        except ValueError as exc:  # a weight at which W_delta is undefined
+            assert "undefined" in str(exc)
+            with pytest.raises(ValueError, match="undefined"):
+                power_grid(model, design, **kwargs)
+            return
+        assert power_grid(model, design, **kwargs) == expected
 
     def test_bounds_are_feasible_within_tolerance(self):
         lo, hi = delta_bounds(0.25, 0.1)
