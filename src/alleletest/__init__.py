@@ -45,8 +45,6 @@ from .sim import (
     SimConfig,
     SimResult,
     SimulationConfigError,
-    draw_counts,
-    draw_counts_genotype,
     estimate_power,
     estimate_type1,
     genotype_distributions,
@@ -92,8 +90,6 @@ __all__ = [
     "b_term",
     "causal_conditional_freqs",
     "delta_bounds",
-    "draw_counts",
-    "draw_counts_genotype",
     "effect_size",
     "estimate_power",
     "estimate_type1",

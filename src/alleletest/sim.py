@@ -19,6 +19,10 @@ each with its own counter-based random stream keyed by ``(seed, block)``.
 The draws of replication ``i`` therefore depend only on ``(seed, i)``, and
 results are bit-identical no matter how many workers process the blocks;
 aggregation uses integer counters, which are order-insensitive.
+
+Every statistic is a function of the table ``(r1, s1)`` alone, so a block's
+tally evaluates each distinct table once and weights its rejections by the
+number of replicates that drew it.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .model import (
 )
 from .stats import (
     CORRECTION_DIRECTIONS,
-    AlleleCounts,
+    MAX_ALLELE_TOTAL,
     StatArrays,
     statistic_arrays,
     two_sided_critical_value,
@@ -61,9 +65,7 @@ __all__ = [
     "DELTA_TESTS",
     "ALL_TESTS",
     "MODES",
-    "draw_counts",
     "genotype_distributions",
-    "draw_counts_genotype",
     "estimate_type1",
     "estimate_power",
     "null_distribution_sample",
@@ -114,6 +116,13 @@ class SimConfig:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications!r}")
+        r, s = self.design.r_cases, self.design.s_controls
+        # The block tally keys each table by r1 * (2S + 1) + s1 in int64.
+        if 2 * max(r, s) > MAX_ALLELE_TOTAL or (2 * r + 1) * (2 * s + 1) > np.iinfo(np.int64).max:
+            raise ValueError(
+                f"design R={r}, S={s} is too large to simulate: 2R and 2S may not "
+                f"exceed {MAX_ALLELE_TOTAL} and (2R+1)*(2S+1) must fit in int64"
+            )
         if not self.alphas:
             raise ValueError("at least one significance level is required")
         for a in self.alphas:
@@ -263,22 +272,6 @@ def _blocks(replications: int) -> Iterator[tuple[int, int, int]]:
         yield b, start, min(_BLOCK, replications - start)
 
 
-def draw_counts(
-    q1_case: float,
-    q1_ctrl: float,
-    r_cases: int,
-    s_controls: int,
-    rng: np.random.Generator,
-) -> AlleleCounts:
-    """Draw one allele table: independent binomial M1 counts per group."""
-    for name, q in (("q1_case", q1_case), ("q1_ctrl", q1_ctrl)):
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {q!r}")
-    r1 = int(rng.binomial(2 * r_cases, q1_case))
-    s1 = int(rng.binomial(2 * s_controls, q1_ctrl))
-    return AlleleCounts(r1, 2 * r_cases - r1, s1, 2 * s_controls - s1)
-
-
 def genotype_distributions(
     model: PenetranceModel, marker: MarkerSpec
 ) -> GenotypeDistributions:
@@ -312,20 +305,6 @@ def genotype_distributions(
             case[copies] += pair * risk
             ctrl[copies] += pair * (1.0 - risk)
     return GenotypeDistributions(case=case / pi, control=ctrl / (1.0 - pi))
-
-
-def draw_counts_genotype(
-    distributions: GenotypeDistributions,
-    r_cases: int,
-    s_controls: int,
-    rng: np.random.Generator,
-) -> AlleleCounts:
-    """Draw one allele table by sampling individual marker genotypes."""
-    cg = rng.multinomial(r_cases, distributions.case)
-    sg = rng.multinomial(s_controls, distributions.control)
-    r1 = int(cg[1] + 2 * cg[2])
-    s1 = int(sg[1] + 2 * sg[2])
-    return AlleleCounts(r1, 2 * r_cases - r1, s1, 2 * s_controls - s1)
 
 
 @dataclass(frozen=True)
@@ -384,11 +363,8 @@ def _labels(config: SimConfig) -> list[tuple[str, float | None]]:
     return out
 
 
-def _block_stats(
-    config: SimConfig, sampler: _Sampler, block: int, size: int, weights
-) -> StatArrays:
-    """Draw one block and evaluate it; degenerate replicates hold NaN."""
-    r1, s1 = sampler.draw(_stream(config.seed, block), size)
+def _block_stats(config: SimConfig, sampler: _Sampler, r1, s1, weights) -> StatArrays:
+    """Evaluate the tables ``(r1, s1)`` of one run; degenerate ones hold NaN."""
     n1, n0 = sampler.r_alleles, sampler.s_alleles
     direction = config.correction_direction
     return statistic_arrays(r1, n1, s1, n0, config.pi_hat, weights, direction)
@@ -412,15 +388,20 @@ def _tally_block(
     block: int,
     size: int,
 ) -> tuple[np.ndarray, int]:
-    arrays = _block_stats(config, sampler, block, size, config.delta_weights)
-    rejections = np.zeros((len(labels), len(z_values)), dtype=np.int64)
+    """Draw one block; evaluate each distinct table once, weighted by its count."""
+    r1, s1 = sampler.draw(_stream(config.seed, block), size)
+    stride = sampler.s_alleles + 1
+    cells, counts = np.unique(r1 * stride + s1, return_counts=True)
+    r1, s1 = np.divmod(cells, stride)
+    arrays = _block_stats(config, sampler, r1, s1, config.delta_weights)
+    weights = counts.astype(np.float64)  # exact: a block has at most 2**16 replicates
+    rejections = np.empty((len(labels), len(z_values)), dtype=np.int64)
     for i, (test, dw) in enumerate(labels):
         stat = getattr(arrays, test.lower())  # the StatArrays field of each test
         magnitude = np.abs(stat if dw is None else stat[dw])
-        for j, z in enumerate(z_values):
-            # NaN (degenerate) never rejects.
-            rejections[i, j] = int(np.count_nonzero(magnitude >= z))
-    return rejections, int(np.count_nonzero(arrays.degenerate))
+        # NaN (degenerate) never rejects.
+        rejections[i] = (magnitude >= z_values[:, None]) @ weights
+    return rejections, int(counts @ arrays.degenerate)
 
 
 def _run(config: SimConfig, kind: str, workers: int) -> SimResult:
@@ -521,7 +502,8 @@ def null_distribution_sample(config: SimConfig, workers: int = 1) -> NullSample:
     deg = np.empty(n, dtype=bool)
 
     def fill(block: int, start: int, size: int) -> None:
-        arrays = _block_stats(config, sampler, block, size, ())
+        r1, s1 = sampler.draw(_stream(config.seed, block), size)
+        arrays = _block_stats(config, sampler, r1, s1, ())
         sl = slice(start, start + size)
         t[sl] = arrays.t
         w[sl] = arrays.w

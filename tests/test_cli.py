@@ -504,6 +504,18 @@ class TestSimulateCommand:
         assert main([*self.BASE, "--seed", seed]) == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "r,s",
+        [
+            ("4611686018427387904", "500"),  # 2R overflows int64
+            ("9007199254740993", "500"),  # 2R exceeds the exact float64 range
+            ("2147483648", "2147483648"),  # (2R+1)*(2S+1) overflows int64
+        ],
+    )
+    def test_design_too_large_rejected(self, r, s, capsys):
+        assert main([*self.BASE, "--r", r, "--s", s]) == 1
+        assert f"R={r}, S={s}" in capsys.readouterr().err
+
     def test_type1_with_ld_rejected(self, capsys):
         code = main(self.BASE + ["--delta", "0.3"])
         assert code == 1

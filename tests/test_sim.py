@@ -1,19 +1,24 @@
 """Monte Carlo engine tests: determinism, sampling laws, lattice oracle."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from alleletest.model import DesignConstants, MarkerSpec, PenetranceModel
 from alleletest.sim import (
+    _BLOCK,
     SimConfig,
     SimulationConfigError,
+    _labels,
+    _make_sampler,
     _stream,
-    draw_counts,
-    draw_counts_genotype,
+    _tally_block,
     estimate_power,
     estimate_type1,
     genotype_distributions,
@@ -46,7 +51,7 @@ NULL_MARKER_10 = MarkerSpec(q1=0.10, delta=0.0)
 
 def config(q1=0.10, delta=0.0, r=500, s=500, reps=100_000, alphas=(1e-3,), seed=1,
            tests=("T", "W", "W_cor", "U"), deltas=(), mode="allele", model=ADDITIVE,
-           pi_hat=0.15):
+           pi_hat=0.15, direction="toward_zero"):
     return SimConfig(
         model=model,
         marker=MarkerSpec(q1=q1, delta=delta),
@@ -58,6 +63,7 @@ def config(q1=0.10, delta=0.0, r=500, s=500, reps=100_000, alphas=(1e-3,), seed=
         tests=tests,
         mode=mode,
         seed=seed,
+        correction_direction=direction,
     )
 
 
@@ -67,24 +73,28 @@ def million_run_500_q10():
 
 
 class TestDrawCounts:
+    """The one sampling law, ``_Sampler.draw``, on block 0 of a stream."""
+
     def test_zero_frequency_forces_zero_count(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            counts = draw_counts(0.0, 0.3, 50, 50, rng)
-            assert counts.r1 == 0
+        sampler = dataclasses.replace(_make_sampler(config(r=50, s=50)), q1_case=0.0)
+        r1, s1 = sampler.draw(_stream(0, 0), 20)
+        assert (r1 == 0).all() and (s1 > 0).any()
 
     def test_mean_matches_binomial_moments(self):
-        rng = _stream(42, 0)
+        # delta 0.3 puts the case M1 frequency at 0.145
         n = 100_000
-        r1 = np.array([draw_counts(0.145, 0.092, 100, 100, rng).r1 for _ in range(n)])
+        r1, _ = _make_sampler(config(delta=0.3, r=100, s=100)).draw(_stream(42, 0), n)
         expected = 200 * 0.145
         se = math.sqrt(200 * 0.145 * 0.855)
         assert abs(r1.mean() - expected) < 4 * se / math.sqrt(n)
 
     def test_fixed_seed_reproduces(self):
-        a = draw_counts(0.2, 0.1, 300, 400, _stream(7, 0))
-        b = draw_counts(0.2, 0.1, 300, 400, _stream(7, 0))
-        assert a == b
+        for mode in ("allele", "genotype"):
+            sampler = _make_sampler(config(delta=0.3, r=300, s=400, mode=mode))
+            a = sampler.draw(_stream(7, 0), 1000)
+            b = sampler.draw(_stream(7, 0), 1000)
+            np.testing.assert_array_equal(a[0], b[0])
+            np.testing.assert_array_equal(a[1], b[1])
 
 
 class TestGenotypeDistributions:
@@ -120,12 +130,9 @@ class TestGenotypeDistributions:
         np.testing.assert_allclose(dists.case, dists.control, atol=1e-14)
 
     def test_genotype_draw_expectation(self):
-        dists = genotype_distributions(ADDITIVE, MarkerSpec(q1=0.10, delta=0.3))
-        rng = _stream(3, 0)
+        sampler = _make_sampler(config(delta=0.3, r=100, s=100, mode="genotype"))
         n = 50_000
-        r1 = np.array(
-            [draw_counts_genotype(dists, 100, 100, rng).r1 for _ in range(n)]
-        )
+        r1, _ = sampler.draw(_stream(3, 0), n)
         expected = 200 * 0.145
         # within-individual allele dependence inflates Var(r1) at most 2x
         se_mean = math.sqrt(2 * 200 * 0.145 * 0.855 / n)
@@ -170,6 +177,60 @@ class TestVectorizedAgainstScalar:
                     assert arrays.w_cor_delta[d][i] == w_corrected(
                         counts, 0.15, direction=direction, delta_weight=d
                     )
+
+
+def reference_tally(config, sampler, labels, z_values, block, size):
+    """Per-replicate block tally: every draw through the kernel, counted one by one."""
+    r1, s1 = sampler.draw(_stream(config.seed, block), size)
+    arrays = statistic_arrays(r1, sampler.r_alleles, s1, sampler.s_alleles, config.pi_hat,
+                              config.delta_weights, config.correction_direction)
+    rejections = np.zeros((len(labels), len(z_values)), dtype=np.int64)
+    for i, (test, dw) in enumerate(labels):
+        stat = getattr(arrays, test.lower())  # the StatArrays field of each test
+        magnitude = np.abs(stat if dw is None else stat[dw])
+        for j, z in enumerate(z_values):
+            # NaN (degenerate) never rejects.
+            rejections[i, j] = int(np.count_nonzero(magnitude >= z))
+    return rejections, int(np.count_nonzero(arrays.degenerate))
+
+
+class TestCellTally:
+    """The tally over distinct tables equals the per-replicate tally bit for bit."""
+
+    SIZES = (1, 5, 50, 500, 5000, 100_000)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mode=st.sampled_from(["allele", "genotype"]),
+        direction=st.sampled_from(CORRECTION_DIRECTIONS),
+        weights=st.lists(st.sampled_from([0.0, 0.15, 0.4, 0.5, 1.0]), unique=True, max_size=3),
+        q1=st.sampled_from([0.0005, 0.002, 0.01, 0.1, 0.5]),
+        r=st.sampled_from(SIZES),
+        s=st.sampled_from(SIZES),
+        size=st.integers(1, 4096),
+        block=st.integers(0, 3),
+        alphas=st.lists(st.sampled_from([1.0, 0.5, 0.05, 1e-3, 1e-6]), unique=True,
+                        min_size=1, max_size=3),
+    )
+    @example(mode="allele", direction="toward_zero", weights=[0.0, 1.0], q1=0.5,
+             r=100_000, s=100_000, size=_BLOCK, block=0, alphas=[0.5, 1e-3])
+    @example(mode="genotype", direction="away_from_zero", weights=[0.0, 0.4, 1.0], q1=0.002,
+             r=50, s=50, size=20_000, block=1, alphas=[1.0, 0.05])
+    @example(mode="allele", direction="away_from_zero", weights=[1.0], q1=0.01,
+             r=1, s=100_000, size=_BLOCK - 17, block=2, alphas=[1.0, 1e-3])
+    def test_matches_reference_tally(self, mode, direction, weights, q1, r, s, size, block,
+                                      alphas):
+        tests = ("T", "W", "W_cor", "U") + (("W_delta", "W_cor_delta") if weights else ())
+        cfg = config(q1=q1, r=r, s=s, reps=size, alphas=alphas, tests=tests, deltas=weights,
+                     mode=mode, seed=block + 17, direction=direction)
+        sampler = _make_sampler(cfg)
+        labels = _labels(cfg)
+        z_values = np.array([two_sided_critical_value(a) for a in cfg.alphas])
+        got, got_degenerate = _tally_block(cfg, sampler, labels, z_values, block, size)
+        want, want_degenerate = reference_tally(cfg, sampler, labels, z_values, block, size)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert got_degenerate == want_degenerate
 
 
 class TestEstimateType1:
@@ -269,8 +330,6 @@ class TestModeConsistency:
     def test_expected_allele_counts_agree_under_ld(self):
         # within-individual allele dependence in genotype mode leaves the
         # expected count untouched; variance grows at most 2x
-        from alleletest.sim import _make_sampler
-
         expected = 2 * 500 * 0.145
         se_mean = math.sqrt(2 * 2 * 500 * 0.145 * 0.855 / 50_000)
         for mode in ("allele", "genotype"):
@@ -383,6 +442,25 @@ class TestConfigValidation:
     def test_workers_below_one(self, run):
         with pytest.raises(ValueError, match="workers"):
             run(config(reps=100), workers=0)
+
+    @pytest.mark.parametrize(
+        "r,s",
+        [
+            (2**52 + 1, 1),  # 2R exceeds the exact float64 range
+            (1, 2**52 + 1),
+            (2**62, 500),  # 2R overflows int64
+            (1_518_500_250, 1_518_500_250),  # (2R+1)*(2S+1) just past int64
+            (2**31, 2**31),
+        ],
+    )
+    def test_design_too_large_for_cell_key(self, r, s):
+        with pytest.raises(ValueError, match=f"R={r}, S={s}"):
+            config(r=r, s=s)
+
+    def test_largest_designs_accepted(self):
+        # (2R+1)**2 = 9223372030926249001 <= 2**63 - 1
+        assert config(r=1_518_500_249, s=1_518_500_249).design.r_cases == 1_518_500_249
+        assert config(r=2**52, s=1).design.r_cases == 2**52
 
     def test_delta_tests_without_weights(self):
         cfg = config(tests=("W_delta",), deltas=())
