@@ -26,7 +26,6 @@ from .model import (
     population_summary,
     prevalence,
     q_term,
-    q_term_variance_weighted,
 )
 from .power import (
     PowerPoint,
@@ -59,7 +58,6 @@ from .stats import (
     p_value,
     q_hat,
     q_hat_delta,
-    sample_freqs,
     t_statistic,
     two_sided_critical_value,
     u_statistic,
@@ -110,8 +108,6 @@ __all__ = [
     "q_hat",
     "q_hat_delta",
     "q_term",
-    "q_term_variance_weighted",
-    "sample_freqs",
     "t_statistic",
     "two_sided_critical_value",
     "u_statistic",

@@ -45,7 +45,6 @@ __all__ = [
     "shifted_marker_freqs",
     "b_term",
     "q_term",
-    "q_term_variance_weighted",
     "population_summary",
     "frequency_mixture",
     "variance_mixture",
@@ -119,10 +118,6 @@ class MarkerSpec:
         _check_freq("q1", self.q1)
         if not -1.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must lie in [-1, 1], got {self.delta!r}")
-
-    @property
-    def q2(self) -> float:
-        return 1.0 - self.q1
 
 
 @dataclass(frozen=True)
@@ -395,21 +390,6 @@ def q_term(
     check_weight("delta_weight", delta_weight)
     g = variance_mixture(summary.q1_ctrl, summary.q1_case, lam)
     return math.sqrt(frequency_mixture(summary.q1_ctrl, summary.q1_case, delta_weight) / g)
-
-
-def q_term_variance_weighted(summary: PopulationSummary, delta_weight: float) -> float:
-    """Diagnostic variant of the delta-weighted Q: weight moved to
-    the variance mixture.
-
-    ``Q^2 = q1*q2 / (dw*u_ctrl + (1-dw)*u_case)``. This form does not satisfy
-    the exact statistic identity (use :func:`q_term` for that); it is exposed
-    for comparison because it treats the weight as a replacement for the
-    sampling fraction rather than for the prevalence.
-    """
-    check_weight("delta_weight", delta_weight)
-    return float(
-        variance_ratio(summary.q1, summary.q1_ctrl, summary.q1_case, delta_weight)
-    )
 
 
 def check_weight(name: str, value: float) -> None:

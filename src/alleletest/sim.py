@@ -29,27 +29,28 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .model import (
-    DegeneratePrevalenceError,
     DesignConstants,
     MarkerSpec,
     PenetranceModel,
+    check_prevalence,
     check_weight,
     haplotype_freqs,
     marker_conditional_freqs,
-    prevalence,
 )
 from .stats import (
     CORRECTION_DIRECTIONS,
     MAX_ALLELE_TOTAL,
     StatArrays,
+    _check_pi_hat,
     statistic_arrays,
     two_sided_critical_value,
 )
@@ -110,8 +111,13 @@ class SimConfig:
             self, "delta_weights", tuple(float(d) for d in self.delta_weights)
         )
         object.__setattr__(self, "tests", tuple(self.tests))
-        if not 0.0 < self.pi_hat < 1.0:
-            raise ValueError(f"pi_hat must lie in (0, 1), got {self.pi_hat!r}")
+        for name in ("seed", "replications"):
+            value = getattr(self, name)
+            # A float or bool seed would key the same Philox stream as its int.
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
+        _check_pi_hat(self.pi_hat)
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if self.replications < 1:
@@ -137,6 +143,11 @@ class SimConfig:
             raise ValueError("at least one test is required")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("tests", "alphas", "delta_weights"):
+            values = getattr(self, name)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{name} repeats {repeated[0]!r}")
         if self.correction_direction not in CORRECTION_DIRECTIONS:
             raise ValueError(
                 f"correction_direction must be one of {CORRECTION_DIRECTIONS}, "
@@ -167,7 +178,6 @@ class SimResult:
     """Aggregated simulation outcome plus reproducibility metadata."""
 
     kind: str
-    cells: tuple[SimCell, ...]
     replications: int
     degenerate_replicates: int
     mode: str
@@ -178,6 +188,7 @@ class SimResult:
     r_cases: int
     s_controls: int
     pi_hat: float
+    cells: tuple[SimCell, ...]
     wall_time_s: float
 
     def cell(
@@ -199,35 +210,8 @@ class SimResult:
                 return c
         raise KeyError(f"no cell for test={test!r}, alpha={alpha!r}, delta_weight={delta_weight!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "replications": self.replications,
-            "degenerate_replicates": self.degenerate_replicates,
-            "mode": self.mode,
-            "seed": self.seed,
-            "rng": self.rng,
-            "q1": self.q1,
-            "delta": self.delta,
-            "r_cases": self.r_cases,
-            "s_controls": self.s_controls,
-            "pi_hat": self.pi_hat,
-            "cells": [
-                {
-                    "test": c.test,
-                    "delta_weight": c.delta_weight,
-                    "alpha": c.alpha,
-                    "rejections": c.rejections,
-                    "fraction": c.fraction,
-                    "se": c.se,
-                }
-                for c in self.cells
-            ],
-            "wall_time_s": self.wall_time_s,
-        }
-
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(asdict(self), indent=indent)
 
     def to_tsv(self) -> str:
         """Long-format table: one row per (test, alpha)."""
@@ -283,11 +267,7 @@ def genotype_distributions(
     marginal of each vector reproduces the conditional marker frequencies.
     """
     haps = haplotype_freqs(model, marker)
-    pi = prevalence(model)
-    if not 0.0 < pi < 1.0:
-        raise DegeneratePrevalenceError(
-            f"prevalence is {pi:g}; conditional distributions require 0 < prevalence < 1"
-        )
+    pi = check_prevalence(model)
     pens = {
         (1, 1): model.pen11,
         (1, 2): model.pen12,
@@ -440,7 +420,6 @@ def _run(config: SimConfig, kind: str, workers: int) -> SimResult:
             )
     return SimResult(
         kind=kind,
-        cells=tuple(cells),
         replications=n,
         degenerate_replicates=degenerate,
         mode=config.mode,
@@ -451,6 +430,7 @@ def _run(config: SimConfig, kind: str, workers: int) -> SimResult:
         r_cases=config.design.r_cases,
         s_controls=config.design.s_controls,
         pi_hat=config.pi_hat,
+        cells=tuple(cells),
         wall_time_s=time.perf_counter() - start,
     )
 

@@ -32,7 +32,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
-from .model import DesignConstants, check_weight, frequency_mixture, variance_mixture
+from .model import check_weight, frequency_mixture, variance_mixture
 
 __all__ = [
     "DegenerateTableError",
@@ -40,12 +40,10 @@ __all__ = [
     "TestReport",
     "StatArrays",
     "statistic_arrays",
-    "sample_freqs",
     "t_statistic",
     "w_statistic",
     "w_delta_statistic",
     "w_corrected",
-    "continuity_correction",
     "q_hat",
     "q_hat_delta",
     "u_statistic",
@@ -98,17 +96,6 @@ class AlleleCounts:
                 raise ValueError(
                     f"{label} allele total {total} exceeds {MAX_ALLELE_TOTAL}"
                 )
-
-    @property
-    def r_cases(self) -> int:
-        return (self.r1 + self.r2) // 2
-
-    @property
-    def s_controls(self) -> int:
-        return (self.s1 + self.s2) // 2
-
-    def design(self) -> DesignConstants:
-        return DesignConstants(self.r_cases, self.s_controls)
 
     @property
     def degenerate(self) -> bool:
@@ -229,18 +216,6 @@ def statistic_arrays(
         )
 
 
-def _resolve_design(counts: AlleleCounts, design: DesignConstants | None) -> DesignConstants:
-    derived = counts.design()
-    if design is None:
-        return derived
-    if (design.r_cases, design.s_controls) != (derived.r_cases, derived.s_controls):
-        raise ValueError(
-            f"design ({design.r_cases}, {design.s_controls}) does not match the "
-            f"allele totals ({derived.r_cases}, {derived.s_controls})"
-        )
-    return design
-
-
 def _require_nondegenerate(counts: AlleleCounts) -> None:
     if counts.degenerate:
         raise DegenerateTableError(
@@ -254,28 +229,19 @@ def _check_pi_hat(pi_hat: float) -> None:
         raise ValueError(f"pi_hat must lie strictly inside (0, 1), got {pi_hat!r}")
 
 
-def _table_arrays(counts, design, weight, direction="toward_zero") -> StatArrays:
-    """Kernel output for one table, checked against ``design``."""
-    _resolve_design(counts, design)
+def _table_arrays(counts, weight, direction="toward_zero") -> StatArrays:
+    """Kernel output for one table."""
     n1, n0 = counts.r1 + counts.r2, counts.s1 + counts.s2
     return statistic_arrays(counts.r1, n1, counts.s1, n0, weight, direction=direction)
 
 
-def _statistic(counts, design, weight, name, direction="toward_zero") -> float:
+def _statistic(counts, weight, name, direction="toward_zero") -> float:
     """Kernel output ``name`` for one non-degenerate table."""
     _require_nondegenerate(counts)
-    return float(getattr(_table_arrays(counts, design, weight, direction), name))
+    return float(getattr(_table_arrays(counts, weight, direction), name))
 
 
-def sample_freqs(counts: AlleleCounts) -> tuple[float, float]:
-    """Sample M1 frequencies ``(q_hat_ctrl, q_hat_case)``."""
-    return (
-        counts.s1 / (counts.s1 + counts.s2),
-        counts.r1 / (counts.r1 + counts.r2),
-    )
-
-
-def t_statistic(counts: AlleleCounts, design: DesignConstants | None = None) -> float:
+def t_statistic(counts: AlleleCounts) -> float:
     """Classic allele test statistic.
 
     ``(q_hat_ctrl - q_hat_case) / sqrt(V_hat)`` with the variance estimated
@@ -283,12 +249,10 @@ def t_statistic(counts: AlleleCounts, design: DesignConstants | None = None) -> 
     ``q*(1-q)/(2S) + q*(1-q)/(2R)``. Asymptotically standard normal under
     no association.
     """
-    return _statistic(counts, design, 0.5, "t")  # T does not use the weight
+    return _statistic(counts, 0.5, "t")  # T does not use the weight
 
 
-def w_delta_statistic(
-    counts: AlleleCounts, delta_weight: float, design: DesignConstants | None = None
-) -> float:
+def w_delta_statistic(counts: AlleleCounts, delta_weight: float) -> float:
     """Frequency-mixed allele test statistic with mixing weight ``delta_weight``.
 
     ``sqrt(m) * (q_hat_ctrl - q_hat_case) / sqrt(m1*m2)`` where
@@ -298,12 +262,10 @@ def w_delta_statistic(
     recovers :func:`w_statistic`.
     """
     check_weight("delta_weight", delta_weight)
-    return _statistic(counts, design, delta_weight, "w")
+    return _statistic(counts, delta_weight, "w")
 
 
-def w_statistic(
-    counts: AlleleCounts, pi_hat: float, design: DesignConstants | None = None
-) -> float:
+def w_statistic(counts: AlleleCounts, pi_hat: float) -> float:
     """Prevalence-standardized allele test statistic.
 
     ``pi_hat`` is an external estimate of the disease prevalence; it cannot
@@ -312,43 +274,36 @@ def w_statistic(
     and tied to :func:`t_statistic` by ``w * q_hat == t``.
     """
     _check_pi_hat(pi_hat)
-    return w_delta_statistic(counts, pi_hat, design)
+    return w_delta_statistic(counts, pi_hat)
 
 
 def _half_step(r, s):
     return 0.5 * np.minimum(r, s) / (2.0 * s * r)
 
 
-def continuity_correction(design: DesignConstants) -> float:
-    """Half-lattice-step numerator shift, ``0.5 * min(S, R) / (2*S*R)``."""
-    return float(_half_step(design.r_cases, design.s_controls))
-
-
 def w_corrected(
     counts: AlleleCounts,
     pi_hat: float,
-    design: DesignConstants | None = None,
     direction: str = "toward_zero",
     delta_weight: float | None = None,
 ) -> float:
     """Continuity-corrected W (or W_delta when ``delta_weight`` is given).
 
-    The frequency difference in the numerator is shifted by
-    :func:`continuity_correction` before standardizing. The default
-    ``toward_zero`` shrinks the absolute difference (never past zero), which
-    damps the finite-sample tail inflation of W; ``away_from_zero`` applies
-    the opposite shift for sensitivity analysis.
+    The frequency difference in the numerator is shifted by half a lattice
+    step, ``0.5*min(R,S)/(2RS)`` for R cases and S controls, before
+    standardizing. The default ``toward_zero`` shrinks the absolute
+    difference (never past zero), which damps the finite-sample tail
+    inflation of W; ``away_from_zero`` applies the opposite shift for
+    sensitivity analysis.
     """
     _check_pi_hat(pi_hat)
     if delta_weight is None:
         delta_weight = pi_hat
     check_weight("delta_weight", delta_weight)
-    return _statistic(counts, design, delta_weight, "w_cor", direction)
+    return _statistic(counts, delta_weight, "w_cor", direction)
 
 
-def q_hat_delta(
-    counts: AlleleCounts, delta_weight: float, design: DesignConstants | None = None
-) -> float:
+def q_hat_delta(counts: AlleleCounts, delta_weight: float) -> float:
     """Sample variance ratio satisfying ``w_delta * q_hat_delta == t`` exactly.
 
     The numerator is the product of the delta-mixed frequencies (the square
@@ -357,20 +312,16 @@ def q_hat_delta(
     denominator, rescaled by m).
     """
     check_weight("delta_weight", delta_weight)
-    return _statistic(counts, design, delta_weight, "q_hat")
+    return _statistic(counts, delta_weight, "q_hat")
 
 
-def q_hat(
-    counts: AlleleCounts, pi_hat: float, design: DesignConstants | None = None
-) -> float:
+def q_hat(counts: AlleleCounts, pi_hat: float) -> float:
     """Sample variance ratio ``q_hat`` linking T and W: ``t == w * q_hat``."""
     _check_pi_hat(pi_hat)
-    return q_hat_delta(counts, pi_hat, design)
+    return q_hat_delta(counts, pi_hat)
 
 
-def u_statistic(
-    counts: AlleleCounts, pi_hat: float, design: DesignConstants | None = None
-) -> float:
+def u_statistic(counts: AlleleCounts, pi_hat: float) -> float:
     """Combined statistic: T where ``q_hat > 1``, W where ``q_hat <= 1``.
 
     Picks, marker by marker, whichever of the two statistics is the larger
@@ -378,7 +329,7 @@ def u_statistic(
     two while staying asymptotically standard normal under no association.
     """
     _check_pi_hat(pi_hat)
-    return _statistic(counts, design, pi_hat, "u")
+    return _statistic(counts, pi_hat, "u")
 
 
 def p_value(stat: float) -> float:
@@ -434,7 +385,7 @@ def effect_size(
     """
     z = _ci_quantile(ci_level)
     _require_nondegenerate(counts)
-    arrays = _table_arrays(counts, None, 0.5)  # the weight is not used
+    arrays = _table_arrays(counts, 0.5)  # the weight is not used
     return _ratio_ci(
         float(arrays.q_ctrl), float(arrays.q_case), float(arrays.log_ratio_se), z
     )
@@ -490,7 +441,6 @@ def report_rows(
 def evaluate_counts(
     counts: AlleleCounts,
     pi_hat: float,
-    design: DesignConstants | None = None,
     *,
     ci_level: float = 0.95,
     direction: str = "toward_zero",
@@ -502,8 +452,6 @@ def evaluate_counts(
     p-values of 1.0, plus ``undefined_ratio`` when no case copy of M1 was
     seen at all.
     """
-    _check_pi_hat(pi_hat)
-    _resolve_design(counts, design)
     n1, n0 = counts.r1 + counts.r2, counts.s1 + counts.s2
     arrays, z = report_arrays(
         counts.r1, n1, counts.s1, n0, pi_hat, ci_level=ci_level, direction=direction

@@ -126,6 +126,30 @@ def exact_w_delta(r1, r2, s1, s2, delta_weight) -> float:
     return math.sqrt(m) * float(q0 - qc) / math.sqrt(m1 * m2)
 
 
+def exact_w_cor(r1, r2, s1, s2, delta_weight, direction) -> float:
+    """Continuity-corrected W_delta from exact rationals.
+
+    The frequency difference moves by ``min(R, S) / (4*R*S)``, half a
+    lattice step: toward zero (clamped there) or away from it.
+    """
+    qc = Fraction(r1, r1 + r2)
+    q0 = Fraction(s1, s1 + s2)
+    dw = Fraction(delta_weight)
+    r_cases = (r1 + r2) // 2
+    s_controls = (s1 + s2) // 2
+    m = Fraction(2 * r_cases * s_controls, r_cases + s_controls)
+    shift = Fraction(min(r_cases, s_controls), 4 * r_cases * s_controls)
+    diff = q0 - qc
+    if direction == "toward_zero":
+        size = max(abs(diff) - shift, Fraction(0))
+    else:
+        size = abs(diff) + shift
+    sign = (diff > 0) - (diff < 0)
+    m1 = dw * qc + (1 - dw) * q0
+    m2 = dw * (1 - qc) + (1 - dw) * (1 - q0)
+    return math.sqrt(m) * float(sign * size) / math.sqrt(m1 * m2)
+
+
 def exact_q_hat_delta(r1, r2, s1, s2, delta_weight) -> float:
     qc = Fraction(r1, r1 + r2)
     q0 = Fraction(s1, s1 + s2)

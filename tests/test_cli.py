@@ -516,6 +516,13 @@ class TestSimulateCommand:
         assert main([*self.BASE, "--r", r, "--s", s]) == 1
         assert f"R={r}, S={s}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra", [["--tests", "T,W,T"], ["--alphas", "1e-2,1e-2"], ["--deltas", "0.4,0.4"]]
+    )
+    def test_repeated_entries_rejected(self, extra, capsys):
+        assert main([*self.BASE, *extra]) == 1
+        assert "repeats" in capsys.readouterr().err
+
     def test_type1_with_ld_rejected(self, capsys):
         code = main(self.BASE + ["--delta", "0.3"])
         assert code == 1

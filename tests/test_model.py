@@ -19,7 +19,6 @@ from alleletest.model import (
     population_summary,
     prevalence,
     q_term,
-    q_term_variance_weighted,
 )
 from oracles import brute_force_delta_bounds, enumerate_population
 
@@ -233,13 +232,6 @@ class TestQTerm:
         assert q_term(summary, 0.5, summary.prevalence) == pytest.approx(
             q_term(summary, 0.5), rel=1e-12
         )
-
-    def test_variance_weighted_at_lambda_matches_plain(self):
-        summary = population_summary(ADDITIVE, MARKER)
-        for lam in (0.3, 0.5, 0.7):
-            assert q_term_variance_weighted(summary, lam) == pytest.approx(
-                q_term(summary, lam), rel=1e-14
-            )
 
     def test_positively_correlated_low_maf_gives_q_below_one(self):
         # Scanned grid: equal-ish sampling fractions, risk models with a

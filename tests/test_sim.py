@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from alleletest.model import DesignConstants, MarkerSpec, PenetranceModel
+from alleletest.model import DegeneratePrevalenceError, DesignConstants, MarkerSpec, PenetranceModel
 from alleletest.sim import (
     _BLOCK,
     SimConfig,
@@ -128,6 +129,12 @@ class TestGenotypeDistributions:
         flat = PenetranceModel(p1=0.10, pen11=0.3, pen12=0.3, pen22=0.3)
         dists = genotype_distributions(flat, MarkerSpec(q1=0.10, delta=0.3))
         np.testing.assert_allclose(dists.case, dists.control, atol=1e-14)
+
+    def test_degenerate_prevalence_rejected(self):
+        for risk in (0.0, 1.0):
+            everyone = PenetranceModel(p1=0.10, pen11=risk, pen12=risk, pen22=risk)
+            with pytest.raises(DegeneratePrevalenceError):
+                genotype_distributions(everyone, NULL_MARKER_10)
 
     def test_genotype_draw_expectation(self):
         sampler = _make_sampler(config(delta=0.3, r=100, s=100, mode="genotype"))
@@ -437,6 +444,36 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="seed"):
                 config(seed=bad)
         assert config(seed=(1 << 64) - 1).seed == (1 << 64) - 1
+
+    @pytest.mark.parametrize(
+        "field,bad",
+        [("seed", 1.7), ("seed", True), ("seed", "1"), ("replications", 5000.5),
+         ("replications", True), ("replications", None)],
+    )
+    def test_seed_and_replications_must_be_integers(self, field, bad):
+        # 1.7 and True would key the Philox stream of seed 1
+        with pytest.raises(ValueError, match=field):
+            config(**{"seed" if field == "seed" else "reps": bad})
+
+    def test_numpy_integers_accepted(self):
+        cfg = config(seed=np.uint64(3), reps=np.int64(2000))
+        assert type(cfg.seed) is int and type(cfg.replications) is int
+        result = estimate_type1(cfg)
+        assert result.cells == estimate_type1(config(seed=3, reps=2000)).cells
+        assert json.loads(result.to_json())["seed"] == 3
+
+    @pytest.mark.parametrize(
+        "field,kwargs,value",
+        [
+            ("tests", {"tests": ("T", "W", "T")}, "T"),
+            ("alphas", {"alphas": (1e-2, 1e-3, 1e-2)}, 1e-2),
+            ("delta_weights", {"tests": ("W_delta",), "deltas": (0.4, 0.1, 0.4)}, 0.4),
+            ("delta_weights", {"tests": ("W_delta",), "deltas": (0.0, -0.0)}, -0.0),
+        ],
+    )
+    def test_repeated_entries_rejected(self, field, kwargs, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field} repeats {value!r}")):
+            config(**kwargs)
 
     @pytest.mark.parametrize("run", [estimate_type1, null_distribution_sample])
     def test_workers_below_one(self, run):

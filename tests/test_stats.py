@@ -1,25 +1,24 @@
 """Statistic tests: frozen oracle values, exact identities, symmetries."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from alleletest.model import DesignConstants
 from alleletest.stats import (
+    CORRECTION_DIRECTIONS,
     MAX_ALLELE_TOTAL,
     AlleleCounts,
     DegenerateTableError,
-    continuity_correction,
     effect_size,
     evaluate_counts,
     p_value,
     q_hat,
     q_hat_delta,
-    sample_freqs,
     t_statistic,
     two_sided_critical_value,
     u_statistic,
@@ -27,7 +26,7 @@ from alleletest.stats import (
     w_delta_statistic,
     w_statistic,
 )
-from oracles import bisect_two_sided_z, exact_q_hat_delta, exact_t, exact_w_delta
+from oracles import bisect_two_sided_z, exact_q_hat_delta, exact_t, exact_w_cor, exact_w_delta
 
 # Worked example used throughout: case frequency 0.145, control 0.092.
 COUNTS = AlleleCounts(290, 1710, 184, 1816)
@@ -64,30 +63,28 @@ class TestAlleleCounts:
         with pytest.raises(ValueError, match="exceeds"):
             AlleleCounts(1, 1, 1 << 64, 1 << 64)  # beyond int64 as well
 
-    def test_design_derived_from_totals(self):
-        assert COUNTS.design() == DesignConstants(1000, 1000)
-
     def test_flags(self):
         assert AlleleCounts(0, 2000, 5, 1995).degenerate
         assert not AlleleCounts(0, 2000, 5, 1995).monomorphic
         assert AlleleCounts(0, 2000, 0, 2000).monomorphic
         assert not COUNTS.degenerate
 
-    def test_mismatched_design_rejected(self):
-        with pytest.raises(ValueError, match="does not match"):
-            t_statistic(COUNTS, DesignConstants(999, 1000))
+
+def report_freqs(counts):
+    report = evaluate_counts(counts, PI_HAT)
+    return report.q_hat_ctrl, report.q_hat_case
 
 
 class TestSampleFreqs:
     def test_returns_ctrl_then_case(self):
-        assert sample_freqs(AlleleCounts(500, 1500, 400, 1600)) == (0.20, 0.25)
+        assert report_freqs(AlleleCounts(500, 1500, 400, 1600)) == (0.20, 0.25)
 
     def test_boundary(self):
-        q_ctrl, q_case = sample_freqs(AlleleCounts(0, 2000, 40, 1960))
+        q_ctrl, q_case = report_freqs(AlleleCounts(0, 2000, 40, 1960))
         assert q_case == 0.0 and q_ctrl == 0.02
 
     def test_balanced(self):
-        assert sample_freqs(AlleleCounts(7, 7, 13, 13)) == (0.5, 0.5)
+        assert report_freqs(AlleleCounts(7, 7, 13, 13)) == (0.5, 0.5)
 
 
 class TestFrozenWorkedExample:
@@ -243,8 +240,27 @@ class TestDegenerateHandling:
 
 
 class TestContinuityCorrection:
-    def test_shift_value(self):
-        assert continuity_correction(DesignConstants(500, 500)) == pytest.approx(5e-4, rel=1e-12)
+    @given(
+        tables(),
+        pi_hats,
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+        st.sampled_from(CORRECTION_DIRECTIONS),
+    )
+    @example(AlleleCounts(999, 1001, 998, 1000), 0.3, None, "toward_zero")  # clamps at zero
+    @settings(max_examples=200)
+    def test_shift_value(self, counts, pi, dw, direction):
+        weight = pi if dw is None else dw
+        w_cor = w_corrected(counts, pi, direction=direction, delta_weight=dw)
+        exact = exact_w_cor(counts.r1, counts.r2, counts.s1, counts.s2, weight, direction)
+        # The kernel starts from the two rounded sample frequencies. Where the
+        # shift cancels the difference, their rounding is all that is left, so
+        # allow 8 ulps of the larger frequency, in W units, on top of rel 1e-12.
+        r, s = (counts.r1 + counts.r2) // 2, (counts.s1 + counts.s2) // 2
+        q_ctrl, q_case = counts.s1 / (2 * s), counts.r1 / (2 * r)
+        mixed = (q_ctrl + weight * (q_case - q_ctrl)) * (1 - q_ctrl + weight * (q_ctrl - q_case))
+        per_unit = math.sqrt(2 * r * s / (r + s) / mixed)
+        rounding = 2**-50 * max(q_ctrl, q_case)
+        assert w_cor == pytest.approx(exact, rel=1e-12, abs=per_unit * rounding)
 
     def test_toward_zero_shrinks(self):
         for counts in (COUNTS, AlleleCounts(9, 91, 13, 87)):
@@ -257,9 +273,10 @@ class TestContinuityCorrection:
         # unequal group sizes let the frequency difference fall below the
         # shift; shrinking must stop at zero, not flip the sign
         counts = AlleleCounts(999, 1001, 998, 1000)
-        c = continuity_correction(counts.design())
-        q_ctrl, q_case = sample_freqs(counts)
-        assert 0.0 < abs(q_ctrl - q_case) < c
+        r, s = (counts.r1 + counts.r2) // 2, (counts.s1 + counts.s2) // 2
+        shift = Fraction(min(r, s), 4 * r * s)
+        gap = abs(Fraction(counts.s1, 2 * s) - Fraction(counts.r1, 2 * r))
+        assert 0 < gap < shift
         assert w_corrected(counts, 0.3) == 0.0
 
     def test_away_from_zero_grows(self):
