@@ -28,7 +28,7 @@ from .model import (
     q_term,
 )
 from .power import (
-    PowerPoint,
+    PowerGrid,
     noncentrality,
     power_grid,
     power_t,
@@ -79,7 +79,7 @@ __all__ = [
     "NullSample",
     "PenetranceModel",
     "PopulationSummary",
-    "PowerPoint",
+    "PowerGrid",
     "SimCell",
     "SimConfig",
     "SimResult",

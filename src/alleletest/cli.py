@@ -338,6 +338,48 @@ def _default_grid(axis: str, p1: float, q1: float | None) -> list[float]:
     return list(np.linspace(0.0, 1.0, 11))
 
 
+# Power points (grid coordinates times pi-hats) per formatted block, or one
+# coordinate where it has more pi-hats. Each block is one write, so the
+# formatted text held at any time does not grow with the sweep.
+POWER_BLOCK_POINTS = 256
+
+
+def _power_blocks(powers: power_mod.PowerGrid, axis: str) -> Iterator[str]:
+    """The CSV rows of ``powers``, four per (coordinate, pi-hat) point, in blocks.
+
+    A coordinate's T, W_delta and U rows are the same under every pi-hat, so
+    they are formatted once per coordinate; an infeasible coordinate has
+    empty power cells.
+    """
+    pi_hats = [f"{pi_hat:.17g}" for pi_hat in powers.pi_hats]
+    step = max(1, POWER_BLOCK_POINTS // len(pi_hats))
+    for start in range(0, len(powers.feasible), step):
+        rows = slice(start, start + step)
+        lines = []
+        for coord, weight, feasible, p_t, p_wd, p_u, p_ws in zip(
+            getattr(powers, axis)[rows].tolist(),
+            powers.delta_weight[rows].tolist(),
+            powers.feasible[rows].tolist(),
+            powers.power_t[rows].tolist(),
+            powers.power_w_delta[rows].tolist(),
+            powers.power_u[rows].tolist(),
+            powers.power_w[rows].tolist(),
+        ):
+            if feasible:
+                p_t, p_wd, p_u = f"{p_t:.17g}", f"{p_wd:.17g}", f"{p_u:.17g}"
+                p_ws = [f"{p_w:.17g}" for p_w in p_ws]
+                end = ",1\n"
+            else:
+                p_t = p_wd = p_u = ""
+                p_ws = [""] * len(pi_hats)
+                end = ",0\n"
+            coord = f"{coord:.17g}"
+            head = f"{coord},T,,{p_t}{end}{coord},W,"
+            tail = f"{end}{coord},W_delta,{weight:.17g},{p_wd}{end}{coord},U,,{p_u}{end}"
+            lines += [f"{head}{pi_hat},{p_w}{tail}" for pi_hat, p_w in zip(pi_hats, p_ws)]
+        yield "".join(lines)
+
+
 @cli.command("power")
 @click.option("--p1", type=float, required=True, help="Causal risk-allele frequency.")
 @click.option("--pen", required=True, help="Genotype risks pen11,pen12,pen22.")
@@ -358,6 +400,9 @@ def power_cmd(p1, pen, q1, delta, delta_weight, r, s, alpha, axis, values, sweep
     pens = _parse_pen(pen)
     model = PenetranceModel(p1=p1, pen11=pens[0], pen12=pens[1], pen22=pens[2])
     design = DesignConstants(r_cases=r, s_controls=s)
+    if {"q1": q1, "delta": delta, "delta_weight": delta_weight}[axis] is not None:
+        flag = "--" + axis.replace("_", "-")
+        raise click.UsageError(f"{flag} cannot be fixed when it is the sweep axis")
     if axis != "q1" and q1 is None:
         raise click.UsageError("--q1 is required when it is not the sweep axis")
     if axis != "delta" and delta is None:
@@ -387,7 +432,7 @@ def power_cmd(p1, pen, q1, delta, delta_weight, r, s, alpha, axis, values, sweep
     if pi_hats is not None:
         pi_hat_values = list(_parse_float_list(pi_hats, "--pi-hats"))
     _check_point_count(len(grid) * max(1, len(pi_hat_values or ())))
-    points = power_mod.power_grid(
+    powers = power_mod.power_grid(
         model,
         design,
         axis=axis,
@@ -401,15 +446,8 @@ def power_cmd(p1, pen, q1, delta, delta_weight, r, s, alpha, axis, values, sweep
     handle = _open_out(out)
     try:
         handle.write("axis,test,variant,power,feasible\n")
-        for pt in points:
-            coord = f"{getattr(pt, axis):.17g}"
-            feasible = "1" if pt.feasible else "0"
-            handle.write(
-                f"{coord},T,,{_fmt(pt.power_t)},{feasible}\n"
-                f"{coord},W,{pt.pi_hat:.17g},{_fmt(pt.power_w)},{feasible}\n"
-                f"{coord},W_delta,{pt.delta_weight:.17g},{_fmt(pt.power_w_delta)},{feasible}\n"
-                f"{coord},U,,{_fmt(pt.power_u)},{feasible}\n"
-            )
+        for block in _power_blocks(powers, axis):
+            handle.write(block)
     finally:
         _close_out(handle)
 

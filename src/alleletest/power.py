@@ -9,15 +9,14 @@ level ``alpha`` is a difference of normal tails driven by the noncentrality
   marker frequency only through Q and is roughly flat across markers.
 
 ``power_grid`` sweeps one coordinate (marker frequency, LD correlation, or
-mixing weight) and emits plot-ready points, flagging coordinates where the
+mixing weight) and returns plot-ready columns, flagging coordinates where the
 LD correlation leaves its feasible range instead of dropping them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -40,7 +39,7 @@ from .model import (
 from .stats import two_sided_critical_value
 
 __all__ = [
-    "PowerPoint",
+    "PowerGrid",
     "noncentrality",
     "w_noncentrality",
     "power_t",
@@ -184,25 +183,26 @@ def power_u(m: float, b: float, delta: float, q_ratio: float, alpha: float) -> f
     return float(_u_power(q_ratio, p_w, power_t(m, b, delta, q_ratio, alpha)))
 
 
-@dataclass(frozen=True)
-class PowerPoint:
-    """One evaluated grid coordinate.
+class PowerGrid(NamedTuple):
+    """An evaluated sweep, one row per grid coordinate.
 
-    ``pi_hat`` and ``delta_weight`` record the values actually used (the true
-    prevalence when not overridden). Infeasible coordinates carry no power
-    values and ``feasible=False``.
+    ``q1``, ``delta`` and ``delta_weight`` hold the coordinates actually used
+    (the weight is the true prevalence when none was given). ``pi_hats``
+    holds the prevalence estimates W was evaluated under, in the order given
+    (the true prevalence for ``None``), and ``power_w`` has one column per
+    pi-hat. The powers of an infeasible coordinate (``feasible`` False) are
+    NaN.
     """
 
-    q1: float
-    delta: float
-    delta_weight: float | None
-    pi_hat: float | None
-    alpha: float
-    power_t: float | None
-    power_w: float | None
-    power_w_delta: float | None
-    power_u: float | None
-    feasible: bool
+    q1: np.ndarray
+    delta: np.ndarray
+    delta_weight: np.ndarray
+    feasible: np.ndarray
+    power_t: np.ndarray
+    power_w_delta: np.ndarray
+    power_u: np.ndarray
+    pi_hats: tuple
+    power_w: np.ndarray
 
 
 def power_grid(
@@ -216,61 +216,72 @@ def power_grid(
     delta: float | None = None,
     delta_weight: float | None = None,
     pi_hat_values: Sequence[float | None] | None = None,
-) -> list[PowerPoint]:
+) -> PowerGrid:
     """Evaluate all four power functions along one axis.
 
     ``axis`` picks which coordinate the ``values`` sweep; the other two are
     fixed by the keyword arguments (``q1`` and ``delta`` are required when
-    not swept; ``delta_weight`` defaults to the true prevalence). By default
-    the true prevalence enters the W power; passing explicit
-    ``pi_hat_values`` evaluates the W power under those (mis)specified
-    estimates instead, one point per (value, pi_hat) pair, which is how the
-    robustness of W to a wrong prevalence figure is studied.
+    not swept; ``delta_weight`` defaults to the true prevalence), and the
+    swept one must not be fixed. By default the true prevalence enters the W
+    power; passing explicit ``pi_hat_values`` (at least one, none repeated)
+    evaluates the W power under those (mis)specified estimates instead, one
+    ``power_w`` column per pi-hat, which is how the robustness of W to a
+    wrong prevalence figure is studied.
 
     Coordinates where the LD correlation is infeasible for the marker
-    frequency are emitted with ``feasible=False`` rather than dropped, so a
-    sweep always yields one point per requested coordinate.
+    frequency are kept with ``feasible`` False rather than dropped, so a
+    sweep always yields one row per requested coordinate.
 
     Every argument is checked before any power is evaluated, so an invalid
-    one raises whether or not any coordinate is feasible: the coordinates in
-    grid order (``ValueError``), the prevalence
-    (:class:`~alleletest.model.DegeneratePrevalenceError`), then the Q of
-    each feasible point, ``alpha``, the ``pi_hat_values``, and last any
-    weight or pi-hat that makes a feasible point's mixed marker frequency
-    product 0, where the W_delta power is undefined (``ValueError``). The
-    sweep derives the model once and evaluates all coordinates as arrays,
-    with the same arithmetic as the scalar functions.
+    one raises whether or not any coordinate is feasible: the axis and the
+    shape of the arguments, the coordinates in grid order (``ValueError``),
+    the prevalence (:class:`~alleletest.model.DegeneratePrevalenceError`),
+    then the Q of each feasible point, ``alpha``, the ``pi_hat_values``, and
+    last any weight or pi-hat that makes a feasible point's mixed marker
+    frequency product 0, where the W_delta power is undefined
+    (``ValueError``). The sweep derives the model once and evaluates all
+    coordinates as arrays, with the same arithmetic as the scalar functions.
     """
     if axis not in GRID_AXES:
         raise ValueError(f"axis must be one of {GRID_AXES}, got {axis!r}")
     values = [float(v) for v in values]
     if not values:
         raise ValueError("empty grid")
-    pi_hats: Sequence[float | None] = (
-        tuple(pi_hat_values) if pi_hat_values else (None,)
-    )
+    if {"q1": q1, "delta": delta, "delta_weight": delta_weight}[axis] is not None:
+        raise ValueError(f"{axis} must not be fixed when it is the sweep axis")
     if axis != "q1" and q1 is None:
         raise ValueError("q1 must be fixed when it is not the sweep axis")
     if axis != "delta" and delta is None:
         raise ValueError("delta must be fixed when it is not the sweep axis")
-
-    coords = [
-        (
-            value if axis == "q1" else q1,
-            value if axis == "delta" else delta,
-            value if axis == "delta_weight" else delta_weight,
+    pi_hats = (None,) if pi_hat_values is None else tuple(pi_hat_values)
+    if not pi_hats:
+        raise ValueError(
+            "pi_hat_values is empty (leave it out to evaluate W at the true prevalence)"
         )
-        for value in values
-    ]
-    # The scalar validators raise for the first bad coordinate in grid order.
-    for coord_q1, coord_delta, coord_dw in coords:
-        MarkerSpec(q1=coord_q1, delta=coord_delta)
-        if coord_dw is not None:
-            check_weight("delta_weight", coord_dw)
-    pi = check_prevalence(model)
-    coords = [(cq1, cdelta, pi if cdw is None else cdw) for cq1, cdelta, cdw in coords]
+    seen = set()
+    for pi_hat in pi_hats:
+        if pi_hat in seen:  # -0.0 repeats 0.0
+            raise ValueError(f"pi_hat_values repeats {pi_hat!r}")
+        seen.add(pi_hat)
 
-    q1s, deltas, weights = (np.array(c, dtype=float) for c in zip(*coords))
+    grid = np.array(values)
+    n = grid.size
+    q1s = grid if axis == "q1" else np.full(n, q1, dtype=float)
+    deltas = grid if axis == "delta" else np.full(n, delta, dtype=float)
+    bad = ~((0.0 < q1s) & (q1s < 1.0) & (-1.0 <= deltas) & (deltas <= 1.0))
+    weighted = axis == "delta_weight" or delta_weight is not None
+    if weighted:
+        weights = grid if axis == "delta_weight" else np.full(n, delta_weight, dtype=float)
+        bad |= ~((0.0 <= weights) & (weights <= 1.0))
+    if bad.any():
+        # The scalar validators raise for the first bad coordinate in grid order.
+        value = values[int(np.argmax(bad))]
+        MarkerSpec(q1=value if axis == "q1" else q1, delta=value if axis == "delta" else delta)
+        check_weight("delta_weight", value if axis == "delta_weight" else delta_weight)
+    pi = check_prevalence(model)
+    if not weighted:
+        weights = np.full(n, pi)
+
     terms = marker_terms(model.p1, q1s, deltas)
     ok = np.flatnonzero(terms.feasible)
     q1_case, q1_ctrl = shifted_marker_freqs(model, q1s[ok], terms.d[ok])
@@ -291,30 +302,30 @@ def power_grid(
     p_w = _w_power(mu, q_ratio, z)
     sqrt_m = math.sqrt(design.m)
     g = variance_mixture(q1_ctrl, q1_case, design.lam)
-    # Per coordinate: T, W_delta, U, then W under each pi-hat, where a
-    # misspecified prevalence estimate turns W into the mixed-weight
-    # statistic with that weight. None marks an infeasible coordinate.
-    powers = np.full((len(values), 3 + len(pi_hats)), None, dtype=object)
-    powers[ok] = np.column_stack(
-        [
-            p_t,
-            _w_delta_power(sqrt_m, q1_ctrl, q1_case, g, x_weights, z),
-            _u_power(q_ratio, p_w, p_t),
-            *(
-                p_w if x is None else _w_delta_power(sqrt_m, q1_ctrl, q1_case, g, x, z)
-                for x in x_pi_hats
-            ),
-        ]
-    )
 
-    eff_pis = [pi if pi_hat is None else pi_hat for pi_hat in pi_hats]
-    points: list[PowerPoint] = []
-    for (coord_q1, coord_delta, eff_dw), feasible, (pt, pwd, pu, *pws) in zip(
-        coords, terms.feasible.tolist(), powers.tolist()
-    ):
-        for eff_pi, pw in zip(eff_pis, pws):
-            # Positional, in field order: keywords make this loop a third slower.
-            points.append(
-                PowerPoint(coord_q1, coord_delta, eff_dw, eff_pi, alpha, pt, pw, pwd, pu, feasible)
+    def spread(feasible_rows):
+        """Rows of the feasible coordinates, in a grid-length array of NaN."""
+        rows = np.full((n, *np.shape(feasible_rows)[1:]), np.nan)
+        rows[ok] = feasible_rows
+        return rows
+
+    return PowerGrid(
+        q1=q1s,
+        delta=deltas,
+        delta_weight=weights,
+        feasible=terms.feasible,
+        power_t=spread(p_t),
+        power_w_delta=spread(_w_delta_power(sqrt_m, q1_ctrl, q1_case, g, x_weights, z)),
+        power_u=spread(_u_power(q_ratio, p_w, p_t)),
+        pi_hats=tuple(pi if pi_hat is None else pi_hat for pi_hat in pi_hats),
+        # A misspecified prevalence estimate turns W into the mixed-weight
+        # statistic with that weight.
+        power_w=spread(
+            np.column_stack(
+                [
+                    p_w if x is None else _w_delta_power(sqrt_m, q1_ctrl, q1_case, g, x, z)
+                    for x in x_pi_hats
+                ]
             )
-    return points
+        ),
+    )

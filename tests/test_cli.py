@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alleletest import cli
 from alleletest.cli import (
     COUNTS_HEADER,
     MAX_SWEEP_POINTS,
@@ -15,7 +16,9 @@ from alleletest.cli import (
     main,
     parse_counts_file,
 )
+from alleletest.model import DesignConstants, PenetranceModel
 from alleletest.stats import AlleleCounts
+from test_power import reference_grid
 
 VALID_FILE = """\
 # marker counts for the worked example
@@ -463,6 +466,113 @@ class TestPowerCommand:
         assert code == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 1 + 4 * 4
+
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["--axis", "q1", "--q1", "0.1", "--delta", "0.3"], "--q1"),
+            (["--axis", "delta", "--q1", "0.1", "--delta", "0.3"], "--delta"),
+            (["--axis", "delta_weight", "--q1", "0.1", "--delta", "0.3", "--delta-weight", "0.5"],
+             "--delta-weight"),
+        ],
+        ids=["q1", "delta", "delta_weight"],
+    )
+    def test_fixed_value_for_swept_coordinate_rejected(self, args, flag, tmp_path, capsys):
+        out = tmp_path / "power.csv"
+        code = main(["power", "--p1", "0.05", "--pen", "0.60,0.35,0.10", "--r", "1000",
+                     "--s", "1000", "--alpha", "1e-8", *args, "--out", str(out)])
+        assert code == 1
+        assert f"{flag} cannot be fixed when it is the sweep axis" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "pi_hats, message",
+        [
+            (["--pi-hats", "0.1,0.1"], "pi_hat_values repeats 0.1"),
+            (["--pi-hats", "0.2,0,-0"], "pi_hat_values repeats -0.0"),
+            (["--pi-hats="], "pi_hat_values is empty"),
+            (["--pi-hats", ""], "pi_hat_values is empty"),
+        ],
+        ids=["repeat", "signed-zero", "empty", "empty-separate"],
+    )
+    def test_repeated_or_empty_pi_hats_rejected(self, pi_hats, message, tmp_path, capsys):
+        out = tmp_path / "power.csv"
+        code = main(["power", "--p1", "0.05", "--pen", "0.60,0.35,0.10", "--delta", "0.3",
+                     "--r", "1000", "--s", "1000", "--alpha", "1e-8", "--values", "0.1,0.2",
+                     *pi_hats, "--out", str(out)])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def reference_power_csv(points, axis):
+    """The ``power`` CSV as it was written point by point, before the sweep
+    became columnar: four rows per ``reference_grid`` point, every cell
+    formatted in place."""
+
+    def fmt(x):
+        return "" if x is None else f"{x:.17g}"
+
+    rows = ["axis,test,variant,power,feasible\n"]
+    for pt in points:
+        coord = f"{getattr(pt, axis):.17g}"
+        feasible = "1" if pt.feasible else "0"
+        rows.append(
+            f"{coord},T,,{fmt(pt.power_t)},{feasible}\n"
+            f"{coord},W,{pt.pi_hat:.17g},{fmt(pt.power_w)},{feasible}\n"
+            f"{coord},W_delta,{pt.delta_weight:.17g},{fmt(pt.power_w_delta)},{feasible}\n"
+            f"{coord},U,,{fmt(pt.power_u)},{feasible}\n"
+        )
+    return "".join(rows)
+
+
+class TestPowerWriterMatchesPointLoop:
+    MODEL = PenetranceModel(p1=0.25, pen11=0.4, pen12=0.25, pen22=0.1)
+    DESIGN = DesignConstants(2000, 1500)
+    BASE = ["power", "--p1", "0.25", "--pen", "0.4,0.25,0.1", "--r", "2000", "--s", "1500",
+            "--alpha", "1e-8"]
+    # At p1 = 0.25 the LD correlation 0.5 is feasible for q1 in about
+    # [0.077, 0.571], and at q1 = 0.1 the correlation in about [-0.19, 0.58].
+    # With two pi-hats and 4-point blocks, each block holds two coordinates,
+    # so the first two cases switch between infeasible and feasible
+    # coordinates across a block boundary (between the second and third
+    # coordinate) and inside a block (between the fifth and sixth).
+    CASES = {
+        "q1": ({"axis": "q1", "delta": 0.5, "pi_hat_values": [0.05, 0.2]},
+               [0.05, 0.07, 0.1, 0.3, 0.55, 0.6, 0.9]),
+        "delta": ({"axis": "delta", "q1": 0.1, "pi_hat_values": [0.3, 0.1]},
+                  [-0.5, -0.25, -0.1, 0.2, 0.5, 0.7, 0.9]),
+        "delta_weight": ({"axis": "delta_weight", "q1": 0.2, "delta": 0.3,
+                          "pi_hat_values": [0.07, 0.5, 0.9]},
+                         [0.0, 0.25, 0.3, 0.7, 1.0]),
+        "q1-true-prevalence": ({"axis": "q1", "delta": 0.3, "delta_weight": 0.3,
+                                "pi_hat_values": None},
+                               [0.01, 0.2, 0.5, 0.7, 0.99]),
+    }
+
+    @pytest.mark.parametrize("block_points", [4, cli.POWER_BLOCK_POINTS])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_csv_bytes_equal_reference(self, case, to_file, block_points, tmp_path, capsys,
+                                       monkeypatch):
+        monkeypatch.setattr(cli, "POWER_BLOCK_POINTS", block_points)
+        kwargs, values = self.CASES[case]
+        points = reference_grid(self.MODEL, self.DESIGN, values=values, alpha=1e-8, **kwargs)
+        if case in ("q1", "delta"):
+            assert [p.feasible for p in points[::2]] == [False, False, True, True, True,
+                                                         False, False]
+        argv = list(self.BASE)
+        for name in ("axis", "q1", "delta", "delta_weight"):
+            if kwargs.get(name) is not None:
+                argv += ["--" + name.replace("_", "-"), str(kwargs[name])]
+        argv += ["--values", ",".join(map(repr, values))]
+        if kwargs["pi_hat_values"] is not None:
+            argv += ["--pi-hats", ",".join(map(repr, kwargs["pi_hat_values"]))]
+        out = tmp_path / "power.csv"
+        assert main(argv + ["--out", str(out) if to_file else "-"]) == 0
+        text = out.read_text(encoding="utf-8") if to_file else capsys.readouterr().out
+        assert text == reference_power_csv(points, kwargs["axis"])
 
 
 class TestSimulateCommand:

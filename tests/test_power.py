@@ -1,6 +1,7 @@
 """Power-function tests: size, frozen anchors, orderings, grid behavior."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from alleletest.model import (
 )
 from alleletest.power import (
     GRID_AXES,
-    PowerPoint,
     noncentrality,
     power_grid,
     power_t,
@@ -228,14 +228,35 @@ class TestNoncentrality:
             )
 
 
+# One (coordinate, pi-hat) point of a sweep, with the fields that
+# ``reference_grid`` computes point by point.
+Point = namedtuple(
+    "Point", "q1 delta delta_weight pi_hat alpha power_t power_w power_w_delta power_u feasible"
+)
+
+
+def grid_points(grid, alpha):
+    """The ``Point`` of each (coordinate, pi-hat) pair of a ``PowerGrid``, in
+    grid order, with None for the powers of an infeasible coordinate."""
+    points = []
+    for i, feasible in enumerate(grid.feasible.tolist()):
+        for j, pi_hat in enumerate(grid.pi_hats):
+            powers = (grid.power_t[i], grid.power_w[i, j], grid.power_w_delta[i], grid.power_u[i])
+            points.append(Point(
+                grid.q1[i].item(), grid.delta[i].item(), grid.delta_weight[i].item(), pi_hat,
+                alpha, *(p.item() if feasible else None for p in powers), feasible,
+            ))
+    return points
+
+
 class TestPowerGrid:
     def test_single_point(self):
-        points = power_grid(
+        grid = power_grid(
             ADDITIVE_10, DESIGN_1000, axis="q1", values=[0.1], alpha=1e-8, delta=0.3
         )
-        assert len(points) == 1
-        assert points[0].feasible
-        assert points[0].pi_hat == pytest.approx(prevalence(ADDITIVE_10), rel=1e-12)
+        assert grid.feasible.tolist() == [True]
+        assert grid.power_w.shape == (1, 1)
+        assert grid.pi_hats == (pytest.approx(prevalence(ADDITIVE_10), rel=1e-12),)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty grid"):
@@ -244,23 +265,24 @@ class TestPowerGrid:
     def test_infeasible_points_flagged_not_dropped(self):
         lo, hi = delta_bounds(0.05, 0.5)
         assert hi < 0.3  # q1=0.5 cannot support delta=0.3 at p1=0.05
-        points = power_grid(
+        grid = power_grid(
             ADDITIVE_05, DESIGN_1000, axis="q1", values=[0.1, 0.5], alpha=1e-8, delta=0.3
         )
-        assert [p.feasible for p in points] == [True, False]
-        assert points[1].power_t is None
+        assert grid.feasible.tolist() == [True, False]
+        assert np.isnan(grid.power_t[1]) and not np.isnan(grid.power_t[0])
+        assert grid_points(grid, 1e-8)[1].power_t is None
 
     def test_t_power_rises_with_marker_frequency(self):
         values = list(np.linspace(0.02, 0.36, 18))
-        points = power_grid(
+        grid = power_grid(
             ADDITIVE_05, DESIGN_1000, axis="q1", values=values, alpha=1e-8, delta=0.3
         )
-        pt = [p.power_t for p in points]
+        pt = grid.power_t.tolist()
         assert all(a < b for a, b in zip(pt, pt[1:]))
 
     def test_prevalence_misspecification_variants(self):
         # one curve per prevalence estimate; wrong estimates bend the W curve
-        points = power_grid(
+        grid = power_grid(
             ADDITIVE_05,
             DESIGN_1000,
             axis="q1",
@@ -269,6 +291,8 @@ class TestPowerGrid:
             delta=0.3,
             pi_hat_values=[0.075, None, 0.20],
         )
+        assert grid.power_w.shape == (3, 3)
+        points = grid_points(grid, 1e-8)
         assert len(points) == 9
         true_pi = prevalence(ADDITIVE_05)
         assert {round(p.pi_hat, 6) for p in points} == {0.075, round(true_pi, 6), 0.20}
@@ -278,7 +302,7 @@ class TestPowerGrid:
                 assert p.power_w == pytest.approx(p.power_w_delta, rel=1e-12)
 
     def test_delta_weight_axis(self):
-        points = power_grid(
+        grid = power_grid(
             ADDITIVE_05,
             DESIGN_1000,
             axis="delta_weight",
@@ -287,15 +311,61 @@ class TestPowerGrid:
             q1=0.10,
             delta=0.3,
         )
-        powers = [p.power_w_delta for p in points]
+        powers = grid.power_w_delta.tolist()
         assert all(a >= b - 1e-15 for a, b in zip(powers, powers[1:]))
 
     def test_missing_fixed_coordinate_rejected(self):
         with pytest.raises(ValueError, match="delta must be fixed"):
             power_grid(ADDITIVE_10, DESIGN_1000, axis="q1", values=[0.1], alpha=1e-8)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"axis": "q1", "q1": 0.1, "delta": 0.3},
+            {"axis": "delta", "q1": 0.1, "delta": 0.3},
+            {"axis": "delta_weight", "q1": 0.1, "delta": 0.3, "delta_weight": 0.5},
+        ],
+        ids=GRID_AXES,
+    )
+    def test_fixed_value_for_swept_coordinate_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=f"{kwargs['axis']} must not be fixed"):
+            power_grid(ADDITIVE_10, DESIGN_1000, values=[0.1], alpha=1e-8, **kwargs)
+
+    @pytest.mark.parametrize(
+        "pi_hats, repeated",
+        [([0.1, 0.2, 0.1], "0.1"), ([0.0, -0.0], "-0.0"), ([None, 0.3, None], "None")],
+        ids=["value", "signed-zero", "true-prevalence"],
+    )
+    def test_repeated_pi_hat_rejected(self, pi_hats, repeated):
+        with pytest.raises(ValueError, match=f"pi_hat_values repeats {repeated}$"):
+            power_grid(ADDITIVE_10, DESIGN_1000, axis="q1", values=[0.1], alpha=1e-8,
+                       delta=0.3, pi_hat_values=pi_hats)
+
+    def test_empty_pi_hat_list_rejected(self):
+        with pytest.raises(ValueError, match="pi_hat_values is empty"):
+            power_grid(ADDITIVE_10, DESIGN_1000, axis="q1", values=[0.1], alpha=1e-8,
+                       delta=0.3, pi_hat_values=[])
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"axis": "q1", "values": [0.2, 1.5, float("nan")], "delta": 0.3}, "q1 .* got 1.5"),
+            ({"axis": "q1", "values": [0.2, 0.3, -0.1], "delta": 0.3}, "q1 .* got -0.1"),
+            ({"axis": "delta", "values": [0.1, float("inf"), 2.0], "q1": 0.2}, "delta .* got inf"),
+            ({"axis": "delta_weight", "values": [0.5, -1.0, 2.0], "q1": 0.2, "delta": 0.1},
+             "delta_weight .* got -1.0"),
+            # the first coordinate fails on its fixed weight, before a later bad q1
+            ({"axis": "q1", "values": [0.2, 1.5], "delta": 0.3, "delta_weight": 7.0},
+             "delta_weight .* got 7.0"),
+            ({"axis": "delta", "values": [0.1], "q1": 0.0, "delta_weight": 7.0}, "q1 .* got 0.0"),
+        ],
+    )
+    def test_first_bad_coordinate_reported_in_grid_order(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            power_grid(ADDITIVE_10, DESIGN_1000, alpha=1e-8, **kwargs)
+
     def test_powers_within_unit_interval(self):
-        points = power_grid(
+        grid = power_grid(
             ADDITIVE_10,
             DESIGN_1000,
             axis="delta",
@@ -303,15 +373,16 @@ class TestPowerGrid:
             alpha=1e-3,
             q1=0.10,
         )
-        for p in points:
+        for p in grid_points(grid, 1e-3):
             if p.feasible:
                 for value in (p.power_t, p.power_w, p.power_w_delta, p.power_u):
                     assert 0.0 <= value <= 1.0
 
     def test_grid_point_at_no_ld_returns_level(self):
-        (point,) = power_grid(
+        grid = power_grid(
             ADDITIVE_10, DESIGN_1000, axis="delta", values=[0.0], alpha=1e-6, q1=0.10
         )
+        (point,) = grid_points(grid, 1e-6)
         for value in (point.power_t, point.power_w, point.power_w_delta, point.power_u):
             assert value == pytest.approx(1e-6, abs=1e-12)
 
@@ -320,7 +391,8 @@ def reference_grid(model, design, *, axis, values, alpha, q1=None, delta=None,
                    delta_weight=None, pi_hat_values=None):
     """``power_grid`` as it was written point by point, before the sweep was
     vectorized: one ``population_summary`` and the scalar power functions per
-    (coordinate, pi_hat) pair."""
+    (coordinate, pi_hat) pair. Only the return is new: ``Point`` tuples in
+    place of the deleted ``PowerPoint`` objects, with the same fields."""
     pi_hats = tuple(pi_hat_values) if pi_hat_values else (None,)
     pi = prevalence(model)
     points = []
@@ -348,7 +420,7 @@ def reference_grid(model, design, *, axis, values, alpha, q1=None, delta=None,
                     p_w = power_w_delta(model, marker, design, eff_pi, alpha)
                 p_wd = power_w_delta(model, marker, design, eff_dw, alpha)
                 p_u = power_u(m, summary.b, coord_delta, q_ratio, alpha)
-            points.append(PowerPoint(
+            points.append(Point(
                 q1=coord_q1, delta=coord_delta, delta_weight=eff_dw, pi_hat=eff_pi,
                 alpha=alpha, power_t=p_t, power_w=p_w, power_w_delta=p_wd, power_u=p_u,
                 feasible=feasible,
@@ -394,6 +466,12 @@ class TestPowerGridMatchesPointwise:
     @settings(max_examples=200, deadline=None)
     def test_sweep_equals_reference_loop_bitwise(self, case):
         model, design, kwargs = case
+        pi_hats = kwargs["pi_hat_values"]
+        if pi_hats is not None and len(set(pi_hats)) < len(pi_hats):
+            with pytest.raises(ValueError, match="repeats"):
+                power_grid(model, design, **kwargs)
+            # compare the sweep without the repeats
+            kwargs = {**kwargs, "pi_hat_values": list(dict.fromkeys(pi_hats))}
         try:
             expected = reference_grid(model, design, **kwargs)
         except ValueError as exc:  # a weight at which W_delta is undefined
@@ -401,7 +479,7 @@ class TestPowerGridMatchesPointwise:
             with pytest.raises(ValueError, match="undefined"):
                 power_grid(model, design, **kwargs)
             return
-        assert power_grid(model, design, **kwargs) == expected
+        assert grid_points(power_grid(model, design, **kwargs), kwargs["alpha"]) == expected
 
     def test_bounds_are_feasible_within_tolerance(self):
         lo, hi = delta_bounds(0.25, 0.1)
@@ -409,6 +487,6 @@ class TestPowerGridMatchesPointwise:
         kwargs = {"axis": "delta", "values": values, "alpha": 1e-8, "q1": 0.1,
                   "pi_hat_values": [0.05, None]}
         model = PenetranceModel(p1=0.25, pen11=0.4, pen12=0.25, pen22=0.1)
-        points = power_grid(model, DesignConstants(2000, 1500), **kwargs)
+        points = grid_points(power_grid(model, DesignConstants(2000, 1500), **kwargs), 1e-8)
         assert points == reference_grid(model, DesignConstants(2000, 1500), **kwargs)
         assert [p.feasible for p in points[::2]] == [False, True, True, True, True, False]
