@@ -348,35 +348,39 @@ def _power_blocks(powers: power_mod.PowerGrid, axis: str) -> Iterator[str]:
     """The CSV rows of ``powers``, four per (coordinate, pi-hat) point, in blocks.
 
     A coordinate's T, W_delta and U rows are the same under every pi-hat, so
-    they are formatted once per coordinate; an infeasible coordinate has
-    empty power cells.
+    they are formatted once per coordinate. The weight is formatted once per
+    sweep, or is the coordinate on the weight axis. An infeasible coordinate
+    has empty power cells, so its rows are text fixed per sweep around the
+    coordinate.
     """
     pi_hats = [f"{pi_hat:.17g}" for pi_hat in powers.pi_hats]
+    weight = None if axis == "delta_weight" else f"{powers.delta_weight[0]:.17g}"
+    # The rows of an infeasible coordinate, split where the coordinate goes.
+    empty_w_delta = (",W_delta,", ",,0\n") if weight is None else (f",W_delta,{weight},,0\n",)
+    infeasible = [
+        piece
+        for pi_hat in pi_hats
+        for piece in (",T,,,0\n", f",W,{pi_hat},,0\n", *empty_w_delta, ",U,,,0\n")
+    ]
     step = max(1, POWER_BLOCK_POINTS // len(pi_hats))
     for start in range(0, len(powers.feasible), step):
         rows = slice(start, start + step)
         lines = []
-        for coord, weight, feasible, p_t, p_wd, p_u, p_ws in zip(
+        for coord, feasible, p_t, p_wd, p_u, p_ws in zip(
             getattr(powers, axis)[rows].tolist(),
-            powers.delta_weight[rows].tolist(),
             powers.feasible[rows].tolist(),
             powers.power_t[rows].tolist(),
             powers.power_w_delta[rows].tolist(),
             powers.power_u[rows].tolist(),
             powers.power_w[rows].tolist(),
         ):
-            if feasible:
-                p_t, p_wd, p_u = f"{p_t:.17g}", f"{p_wd:.17g}", f"{p_u:.17g}"
-                p_ws = [f"{p_w:.17g}" for p_w in p_ws]
-                end = ",1\n"
-            else:
-                p_t = p_wd = p_u = ""
-                p_ws = [""] * len(pi_hats)
-                end = ",0\n"
             coord = f"{coord:.17g}"
-            head = f"{coord},T,,{p_t}{end}{coord},W,"
-            tail = f"{end}{coord},W_delta,{weight:.17g},{p_wd}{end}{coord},U,,{p_u}{end}"
-            lines += [f"{head}{pi_hat},{p_w}{tail}" for pi_hat, p_w in zip(pi_hats, p_ws)]
+            if not feasible:
+                lines.append(coord + coord.join(infeasible))
+                continue
+            head = f"{coord},T,,{p_t:.17g},1\n{coord},W,"
+            tail = f",1\n{coord},W_delta,{weight or coord},{p_wd:.17g},1\n{coord},U,,{p_u:.17g},1\n"
+            lines += [f"{head}{pi_hat},{p_w:.17g}{tail}" for pi_hat, p_w in zip(pi_hats, p_ws)]
         yield "".join(lines)
 
 

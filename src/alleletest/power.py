@@ -8,6 +8,8 @@ level ``alpha`` is a difference of normal tails driven by the noncentrality
 * W:  the same with the quantile also scaled by Q, so power depends on the
   marker frequency only through Q and is roughly flat across markers.
 
+``Phi`` is ``_normal.ndtr``, the Cephes routine behind ``scipy.special.ndtr``.
+
 ``power_grid`` sweeps one coordinate (marker frequency, LD correlation, or
 mixing weight) and returns plot-ready columns, flagging coordinates where the
 LD correlation leaves its feasible range instead of dropping them.
@@ -19,8 +21,8 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._normal import ndtr
 from .model import (
     DesignConstants,
     MarkerSpec,
@@ -287,14 +289,15 @@ def power_grid(
     q1_case, q1_ctrl = shifted_marker_freqs(model, q1s[ok], terms.d[ok])
     q_ratio = variance_ratio(terms.q1[ok], q1_ctrl, q1_case, design.lam)
     _check_power_args(design.m, q_ratio, alpha)
-    for pi_hat in pi_hats:
-        if pi_hat is not None:
-            check_weight("pi_hat", pi_hat)
+    given = [j for j, pi_hat in enumerate(pi_hats) if pi_hat is not None]
+    for j in given:
+        check_weight("pi_hat", pi_hats[j])
     x_weights = _mixed_product("delta_weight", weights[ok], q1_ctrl, q1_case)
-    x_pi_hats = [
-        None if pi_hat is None else _mixed_product("pi_hat", pi_hat, q1_ctrl, q1_case)
-        for pi_hat in pi_hats
-    ]
+    # One row per given pi-hat, so the first bad point found is under the
+    # first offending pi-hat in the order given.
+    x_pi_hats = _mixed_product(
+        "pi_hat", np.array([pi_hats[j] for j in given]).reshape(-1, 1), q1_ctrl, q1_case
+    )
 
     z = two_sided_critical_value(alpha)
     mu = noncentrality(design.m, b_term(model), deltas[ok])
@@ -302,6 +305,12 @@ def power_grid(
     p_w = _w_power(mu, q_ratio, z)
     sqrt_m = math.sqrt(design.m)
     g = variance_mixture(q1_ctrl, q1_case, design.lam)
+
+    power_w = np.empty((len(pi_hats), ok.size))
+    power_w[:] = p_w  # W at the true prevalence, for a pi-hat of None
+    # A misspecified prevalence estimate turns W into the mixed-weight
+    # statistic with that weight.
+    power_w[given] = _w_delta_power(sqrt_m, q1_ctrl, q1_case, g, x_pi_hats, z)
 
     def spread(feasible_rows):
         """Rows of the feasible coordinates, in a grid-length array of NaN."""
@@ -318,14 +327,5 @@ def power_grid(
         power_w_delta=spread(_w_delta_power(sqrt_m, q1_ctrl, q1_case, g, x_weights, z)),
         power_u=spread(_u_power(q_ratio, p_w, p_t)),
         pi_hats=tuple(pi if pi_hat is None else pi_hat for pi_hat in pi_hats),
-        # A misspecified prevalence estimate turns W into the mixed-weight
-        # statistic with that weight.
-        power_w=spread(
-            np.column_stack(
-                [
-                    p_w if x is None else _w_delta_power(sqrt_m, q1_ctrl, q1_case, g, x, z)
-                    for x in x_pi_hats
-                ]
-            )
-        ),
+        power_w=spread(power_w.T),
     )

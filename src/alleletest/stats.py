@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._normal import ndtri
 from .model import check_weight, frequency_mixture, variance_mixture
 
 __all__ = [
@@ -181,8 +181,14 @@ def statistic_arrays(
     diff = q_ctrl - q_case
     if direction == "toward_zero":
         # Shrink the absolute difference, clamping at zero so the
-        # correction can never flip the sign.
-        diff_cor = np.sign(diff) * np.maximum(np.abs(diff) - _half_step(r, s), 0.0)
+        # correction can never flip the sign. Where the difference ties the
+        # half step, the rounded subtraction would leave a residue, so the
+        # tables near a tie are settled in integers.
+        excess = np.abs(diff) - _half_step(r, s)
+        near = np.abs(excess) <= _TIE_WINDOW * (q_ctrl + q_case)
+        if np.any(near):
+            excess = np.where(_within_half_step(r1, r, s1, s, near), 0.0, excess)
+        diff_cor = np.sign(diff) * np.maximum(excess, 0.0)
     else:
         diff_cor = np.sign(diff) * (np.abs(diff) + _half_step(r, s))
 
@@ -281,6 +287,27 @@ def _half_step(r, s):
     return 0.5 * np.minimum(r, s) / (2.0 * s * r)
 
 
+# In a table that is not degenerate, |q_ctrl - q_case| and the half step
+# each lie within 2 eps * (q_ctrl + q_case) of their exact values, so beyond
+# this multiple of q_ctrl + q_case from the half step the float comparison
+# has the sign of the exact one.
+_TIE_WINDOW = 4 * np.finfo(float).eps
+
+
+def _within_half_step(r1, r, s1, s, near):
+    """Mask of the tables, among those ``near`` the half step, whose
+    frequency difference lies within it: ``2*|s1*R - r1*S| <= min(R, S)``
+    in Python ints, since ``s1*R`` can overflow int64."""
+    *counts, near = np.broadcast_arrays(r1, r, s1, s, near)
+    within = np.zeros(near.shape, dtype=bool)
+    for i in np.flatnonzero(near):
+        case_m1, cases, ctrl_m1, controls = (int(x.flat[i]) for x in counts)
+        within.flat[i] = (
+            2 * abs(ctrl_m1 * cases - case_m1 * controls) <= min(cases, controls)
+        )
+    return within
+
+
 def w_corrected(
     counts: AlleleCounts,
     pi_hat: float,
@@ -348,7 +375,8 @@ def two_sided_critical_value(alpha: float) -> float:
     """Upper alpha/2 standard normal quantile, the two-sided rejection cutoff.
 
     Evaluated through the inverse normal CDF at ``alpha/2`` (no cancellation
-    for small levels; accurate down to alpha ~ 1e-12 and beyond).
+    for small levels; accurate down to alpha ~ 1e-12 and beyond), which is
+    ``_normal.ndtri``, the Cephes routine behind ``scipy.special.ndtri``.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")

@@ -5,7 +5,9 @@ and ``simulate`` on small seeded inputs: all scan row classes in both
 continuity-correction directions, the three power axes with prevalence
 misspecification and LD-infeasible points, and both simulation modes with
 delta-weighted tests. ``simulate`` output is compared without its
-``wall_time_s`` field, the only one that varies between runs.
+``wall_time_s`` field, the only one that varies between runs. This file
+needs only the runtime dependencies, numpy and click, and checks that the
+CLI imports no scipy module.
 
 Regenerate the files (only when an output change is intended) with::
 
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -78,6 +82,27 @@ def test_scan_output_does_not_depend_on_block_size(name, tmp_path, monkeypatch, 
     monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", 7)
     expected = (DATA / name).read_text(encoding="utf-8")
     assert _run(name, tmp_path / name) == expected
+
+
+def test_cli_imports_no_scipy(tmp_path):
+    # The runtime dependencies are numpy and click; scipy is for the tests.
+    argvs = [[a.format(counts=DATA / COUNTS, out=tmp_path / name) for a in CASES[name]]
+             for name in ("scan_toward_zero.tsv", "power_q1.csv")]
+    code = (
+        "import sys\n"
+        "from alleletest.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def golden_counts(seed: int = 20260417) -> str:

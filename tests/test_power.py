@@ -301,6 +301,17 @@ class TestPowerGrid:
             if p.pi_hat == true_pi and p.delta_weight == true_pi:
                 assert p.power_w == pytest.approx(p.power_w_delta, rel=1e-12)
 
+    def test_pi_hats_in_one_call_equal_each_alone_bitwise(self):
+        pi_hats = [0.2, None, *np.linspace(0.01, 0.99, 40).tolist(), 0.0, 1.0]
+        kwargs = {"axis": "q1", "values": np.linspace(0.02, 0.98, 25).tolist(),
+                  "alpha": 1e-8, "delta": 0.3}
+        grid = power_grid(ADDITIVE_05, DESIGN_1000, pi_hat_values=pi_hats, **kwargs)
+        assert not grid.feasible.all() and grid.feasible.any()
+        for j, pi_hat in enumerate(pi_hats):
+            alone = power_grid(ADDITIVE_05, DESIGN_1000, pi_hat_values=[pi_hat], **kwargs)
+            assert grid.pi_hats[j] == alone.pi_hats[0]
+            assert np.array_equal(grid.power_w[:, j], alone.power_w[:, 0], equal_nan=True)
+
     def test_delta_weight_axis(self):
         grid = power_grid(
             ADDITIVE_05,

@@ -19,6 +19,7 @@ from alleletest.stats import (
     p_value,
     q_hat,
     q_hat_delta,
+    statistic_arrays,
     t_statistic,
     two_sided_critical_value,
     u_statistic,
@@ -278,6 +279,34 @@ class TestContinuityCorrection:
         gap = abs(Fraction(counts.s1, 2 * s) - Fraction(counts.r1, 2 * r))
         assert 0 < gap < shift
         assert w_corrected(counts, 0.3) == 0.0
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            (126, 1442, 445, 5099),
+            # s1*R overflows int64: R = 2**51 + 1, S = 2**51
+            (2**50 + 1, 2**52 + 2 - (2**50 + 1), 2**50, 2**52 - 2**50),
+        ],
+        ids=["small", "int64-overflow"],
+    )
+    def test_exact_half_step_tie_gives_zero(self, table):
+        # 2*|s1*R - r1*S| == min(R, S): the difference equals the shift exactly
+        counts = AlleleCounts(*table)
+        r, s = (counts.r1 + counts.r2) // 2, (counts.s1 + counts.s2) // 2
+        assert 2 * abs(counts.s1 * r - counts.r1 * s) == min(r, s)
+        assert exact_w_cor(*table, 0.15, "toward_zero") == 0.0
+        assert w_corrected(counts, 0.15) == 0.0
+        assert w_corrected(counts, 0.15, delta_weight=0.4) == 0.0
+        assert evaluate_counts(counts, 0.15).w_cor_stat == 0.0
+        # in a batch, next to its neighbours one case count either side
+        r1 = np.array([counts.r1 - 1, counts.r1, counts.r1 + 1], dtype=np.int64)
+        n1 = counts.r1 + counts.r2
+        arrays = statistic_arrays(r1, n1, counts.s1, counts.s1 + counts.s2, 0.15, (0.4,))
+        assert arrays.w_cor[1] == 0.0 and arrays.w_cor_delta[0.4][1] == 0.0
+        for i in (0, 2):
+            exact = exact_w_cor(int(r1[i]), n1 - int(r1[i]), counts.s1, counts.s2, 0.15,
+                                "toward_zero")
+            assert arrays.w_cor[i] == pytest.approx(exact, rel=1e-12)
 
     def test_away_from_zero_grows(self):
         w = w_statistic(COUNTS, PI_HAT)
