@@ -21,8 +21,8 @@ results are bit-identical no matter how many workers process the blocks;
 aggregation uses integer counters, which are order-insensitive.
 
 Every statistic is a function of the table ``(r1, s1)`` alone, so a block's
-tally evaluates each distinct table once and weights its rejections by the
-number of replicates that drew it.
+tally evaluates each distinct table once, at every weight in one kernel call,
+and weights its rejections by the number of replicates that drew it.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .model import (
 from .stats import (
     CORRECTION_DIRECTIONS,
     MAX_ALLELE_TOTAL,
-    StatArrays,
     _check_pi_hat,
     statistic_arrays,
     two_sided_critical_value,
@@ -83,6 +82,11 @@ _RNG_DESCRIPTION = f"philox4x64 keyed by (seed, block), block size {_BLOCK}"
 
 class SimulationConfigError(ValueError):
     """Simulation request inconsistent with the estimator being run."""
+
+
+def _weight_label(delta_weight: float) -> str:
+    """A delta weight as cell labels print it."""
+    return f"{delta_weight:g}"
 
 
 @dataclass(frozen=True)
@@ -143,8 +147,10 @@ class SimConfig:
             raise ValueError("at least one test is required")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("tests", "alphas", "delta_weights"):
-            values = getattr(self, name)
+        # Cells are reported by label, so no two weights may print alike.
+        labels = [_weight_label(d) for d in self.delta_weights]
+        for name, values in (("tests", self.tests), ("alphas", self.alphas),
+                             ("delta_weights", self.delta_weights), ("delta_weights", labels)):
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ValueError(f"{name} repeats {repeated[0]!r}")
@@ -170,7 +176,7 @@ class SimCell:
     def label(self) -> str:
         if self.delta_weight is None:
             return self.test
-        return f"{self.test}[{self.delta_weight:g}]"
+        return f"{self.test}[{_weight_label(self.delta_weight)}]"
 
 
 @dataclass(frozen=True)
@@ -195,18 +201,7 @@ class SimResult:
         self, test: str, alpha: float, delta_weight: float | None = None
     ) -> SimCell:
         for c in self.cells:
-            if (
-                c.test == test
-                and c.alpha == alpha
-                and (
-                    (c.delta_weight is None and delta_weight is None)
-                    or (
-                        c.delta_weight is not None
-                        and delta_weight is not None
-                        and math.isclose(c.delta_weight, delta_weight)
-                    )
-                )
-            ):
+            if (c.test, c.alpha, c.delta_weight) == (test, alpha, delta_weight):
                 return c
         raise KeyError(f"no cell for test={test!r}, alpha={alpha!r}, delta_weight={delta_weight!r}")
 
@@ -343,13 +338,6 @@ def _labels(config: SimConfig) -> list[tuple[str, float | None]]:
     return out
 
 
-def _block_stats(config: SimConfig, sampler: _Sampler, r1, s1, weights) -> StatArrays:
-    """Evaluate the tables ``(r1, s1)`` of one run; degenerate ones hold NaN."""
-    n1, n0 = sampler.r_alleles, sampler.s_alleles
-    direction = config.correction_direction
-    return statistic_arrays(r1, n1, s1, n0, config.pi_hat, weights, direction)
-
-
 def _map_blocks(fn, blocks, workers: int) -> list:
     """``fn(block, start, size)`` over ``blocks`` in order, on ``workers`` threads."""
     if workers < 1:
@@ -368,20 +356,23 @@ def _tally_block(
     block: int,
     size: int,
 ) -> tuple[np.ndarray, int]:
-    """Draw one block; evaluate each distinct table once, weighted by its count."""
+    """Draw one block; evaluate each distinct table once, as a row, at the
+    weight column ``(pi_hat, *delta_weights)``, and weight it by its count."""
     r1, s1 = sampler.draw(_stream(config.seed, block), size)
     stride = sampler.s_alleles + 1
     cells, counts = np.unique(r1 * stride + s1, return_counts=True)
-    r1, s1 = np.divmod(cells, stride)
-    arrays = _block_stats(config, sampler, r1, s1, config.delta_weights)
-    weights = counts.astype(np.float64)  # exact: a block has at most 2**16 replicates
-    rejections = np.empty((len(labels), len(z_values)), dtype=np.int64)
-    for i, (test, dw) in enumerate(labels):
-        stat = getattr(arrays, test.lower())  # the StatArrays field of each test
-        magnitude = np.abs(stat if dw is None else stat[dw])
-        # NaN (degenerate) never rejects.
-        rejections[i] = (magnitude >= z_values[:, None]) @ weights
-    return rejections, int(counts @ arrays.degenerate)
+    r1, s1 = np.divmod(cells[None, :], stride)
+    weights = (config.pi_hat, *config.delta_weights)
+    arrays = statistic_arrays(r1, sampler.r_alleles, s1, sampler.s_alleles,
+                              np.array(weights)[:, None], config.correction_direction)
+    stats = np.stack([  # W_delta and W_cor_delta are the W and W_cor rows of their weight
+        getattr(arrays, test.lower().removesuffix("_delta"))[0 if dw is None else weights.index(dw)]
+        for test, dw in labels
+    ])
+    # NaN (degenerate) never rejects; the sums are exact, a block has at
+    # most 2**16 replicates.
+    rejections = (np.abs(stats)[:, None] >= z_values[:, None]) @ counts.astype(np.float64)
+    return rejections.astype(np.int64), int(counts @ arrays.degenerate[0])
 
 
 def _run(config: SimConfig, kind: str, workers: int) -> SimResult:
@@ -483,7 +474,8 @@ def null_distribution_sample(config: SimConfig, workers: int = 1) -> NullSample:
 
     def fill(block: int, start: int, size: int) -> None:
         r1, s1 = sampler.draw(_stream(config.seed, block), size)
-        arrays = _block_stats(config, sampler, r1, s1, ())
+        arrays = statistic_arrays(r1, sampler.r_alleles, s1, sampler.s_alleles,
+                                  config.pi_hat, config.correction_direction)
         sl = slice(start, start + size)
         t[sl] = arrays.t
         w[sl] = arrays.w

@@ -137,9 +137,11 @@ class StatArrays(NamedTuple):
     """Kernel output for a batch of allele tables, one entry per table.
 
     Statistics are NaN where the table is degenerate. ``log_ratio_se`` is
-    the delta-method standard error of ``log(q_ctrl/q_case)``. ``w_delta``
-    and ``w_cor_delta`` map each delta weight to its array; they come last,
-    after the fields that hold one value per table.
+    the delta-method standard error of ``log(q_ctrl/q_case)``. ``w``,
+    ``w_cor``, ``u`` and ``q_hat`` depend on the weight and take the shape
+    of tables and weight broadcast together, so a column of weights gives
+    them one row per weight (W_delta and W_cor_delta are W and W_cor at a
+    weight row); the other fields have the shape of the tables.
     """
 
     q_ctrl: np.ndarray
@@ -152,22 +154,21 @@ class StatArrays(NamedTuple):
     log_ratio_se: np.ndarray
     degenerate: np.ndarray
     monomorphic: np.ndarray
-    w_delta: dict[float, np.ndarray]
-    w_cor_delta: dict[float, np.ndarray]
 
 
-def statistic_arrays(
-    r1, n1, s1, n0, pi_hat: float, delta_weights=(), direction: str = "toward_zero"
-) -> StatArrays:
-    """T, W, W_cor, U, q_hat, W_delta and W_cor_delta for many tables at once.
+def statistic_arrays(r1, n1, s1, n0, weight, direction: str = "toward_zero") -> StatArrays:
+    """T, W, W_cor, U and q_hat for many tables at once.
 
     ``r1`` and ``s1`` are the M1 counts among cases and controls out of the
     allele totals ``n1`` and ``n0`` (twice the group sizes), as ints or int
-    arrays that broadcast together. ``pi_hat`` weighs W, W_cor and q_hat;
-    each of ``delta_weights`` gives one W_delta and one W_cor_delta. Weights
-    are not range-checked here. Beyond exact sign and min/max steps only
-    ``+ - * /`` and ``sqrt`` are used, all correctly rounded in numpy as in
-    ``math``, so a table gets the same bits alone or in a batch.
+    arrays that broadcast together. ``weight`` mixes the case and control
+    frequencies in W, W_cor, U and q_hat: the prevalence estimate gives W,
+    any other weight W_delta. It is a float or an array that broadcasts
+    with the tables; tables as a row ``(1, N)`` and weights as a column
+    ``(K, 1)`` give the weight fields one row per weight. Weights are not
+    range-checked here. Beyond exact sign and min/max steps only ``+ - * /``
+    and ``sqrt`` are used, all correctly rounded in numpy as in ``math``, so
+    a table gets the same bits alone, in a batch or at any weight row.
     """
     if direction not in CORRECTION_DIRECTIONS:
         raise ValueError(
@@ -201,10 +202,13 @@ def statistic_arrays(
     with np.errstate(divide="ignore", invalid="ignore"):
         v_hat = q_ctrl * (1.0 - q_ctrl) / n0 + q_case * (1.0 - q_case) / n1
         t = defined(diff / np.sqrt(v_hat))
-        mixed = frequency_mixture(q_ctrl, q_case, pi_hat)
+        mixed = frequency_mixture(q_ctrl, q_case, weight)
         w = standardized(diff, mixed)
         q_hat_ = defined(np.sqrt(mixed / variance_mixture(q_ctrl, q_case, r / (r + s))))
-        mixed_d = {dw: frequency_mixture(q_ctrl, q_case, dw) for dw in delta_weights}
+        # Rounding can leave q_hat on the wrong side of 1 for the float
+        # |t| vs |w| comparison; |t|/|w| is on its side, and 1 at a tie.
+        wrong = np.sign(q_hat_ - 1.0) != np.sign(np.abs(t) - np.abs(w))
+        q_hat_ = np.where(wrong, np.abs(t) / np.abs(w), q_hat_)
         var_log = (1.0 - q_ctrl) / (n0 * q_ctrl) + (1.0 - q_case) / (n1 * q_case)
         return StatArrays(
             q_ctrl=q_ctrl,
@@ -217,8 +221,6 @@ def statistic_arrays(
             log_ratio_se=defined(np.sqrt(var_log)),
             degenerate=degenerate,
             monomorphic=(r1 + s1 == 0) | (r1 + s1 == n1 + n0),
-            w_delta={dw: standardized(diff, x) for dw, x in mixed_d.items()},
-            w_cor_delta={dw: standardized(diff_cor, x) for dw, x in mixed_d.items()},
         )
 
 
@@ -446,9 +448,8 @@ def report_rows(
     tables. ``z`` is the interval's normal quantile; degenerate tables do not
     read it.
     """
-    per_table = arrays[:-2]  # all but the per-weight maps
     for q_ctrl, q_case, t, w, w_cor, u, qh, se, degenerate, monomorphic in zip(
-        *(np.atleast_1d(c)[start:stop].tolist() for c in per_table)
+        *(np.atleast_1d(c)[start:stop].tolist() for c in arrays)
     ):
         if not degenerate:
             ratio, lo, hi = _ratio_ci(q_ctrl, q_case, se, z)

@@ -627,7 +627,13 @@ class TestSimulateCommand:
         assert f"R={r}, S={s}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "extra", [["--tests", "T,W,T"], ["--alphas", "1e-2,1e-2"], ["--deltas", "0.4,0.4"]]
+        "extra",
+        [
+            ["--tests", "T,W,T"],
+            ["--alphas", "1e-2,1e-2"],
+            ["--deltas", "0.4,0.4"],
+            ["--deltas", "0.1,0.1000000001"],  # both would print as W_delta[0.1]
+        ],
     )
     def test_repeated_entries_rejected(self, extra, capsys):
         assert main([*self.BASE, *extra]) == 1

@@ -156,32 +156,34 @@ class TestVectorizedAgainstScalar:
         # then degenerate rows: no case M1, all controls M1, and two monomorphic
         r1 = np.concatenate([r1, [0, 5, 0, n1]])
         s1 = np.concatenate([s1, [7, n0, 0, n0]])
+        # the weight column: row 0 is the prevalence estimate, rows 1-3 delta weights
+        column = np.array((0.15, *weights))[:, None]
         for direction in CORRECTION_DIRECTIONS:
-            arrays = statistic_arrays(r1, n1, s1, n0, 0.15, weights, direction)
+            arrays = statistic_arrays(r1, n1, s1, n0, column, direction)
             np.testing.assert_array_equal(arrays.degenerate, np.arange(68) >= 64)
             np.testing.assert_array_equal(arrays.monomorphic, np.arange(68) >= 66)
-            for stat in (arrays.t, arrays.w, arrays.w_cor, arrays.u, arrays.q_hat,
-                         *arrays.w_delta.values(), *arrays.w_cor_delta.values()):
-                assert np.isnan(stat[64:]).all()
+            assert arrays.t.shape == (68,)
+            for stat in (arrays.w, arrays.w_cor, arrays.u, arrays.q_hat):
+                assert stat.shape == (4, 68)
+            for stat in (arrays.t, arrays.w, arrays.w_cor, arrays.u, arrays.q_hat):
+                assert np.isnan(stat[..., 64:]).all()
             for i in range(64):
                 table = (int(r1[i]), n1 - int(r1[i]), int(s1[i]), n0 - int(s1[i]))
                 counts = AlleleCounts(*table)
                 assert arrays.t[i] == t_statistic(counts)
                 assert arrays.t[i] == pytest.approx(exact_t(*table), rel=1e-12)
-                assert arrays.w[i] == w_statistic(counts, 0.15)
-                assert arrays.w[i] == pytest.approx(exact_w_delta(*table, 0.15), rel=1e-12)
-                assert arrays.w_cor[i] == w_corrected(counts, 0.15, direction=direction)
-                assert arrays.u[i] == u_statistic(counts, 0.15)
-                assert arrays.q_hat[i] == q_hat(counts, 0.15)
-                assert arrays.q_hat[i] == pytest.approx(
+                assert arrays.w[0, i] == w_statistic(counts, 0.15)
+                assert arrays.w[0, i] == pytest.approx(exact_w_delta(*table, 0.15), rel=1e-12)
+                assert arrays.w_cor[0, i] == w_corrected(counts, 0.15, direction=direction)
+                assert arrays.u[0, i] == u_statistic(counts, 0.15)
+                assert arrays.q_hat[0, i] == q_hat(counts, 0.15)
+                assert arrays.q_hat[0, i] == pytest.approx(
                     exact_q_hat_delta(*table, 0.15), rel=1e-12
                 )
-                for d in weights:
-                    assert arrays.w_delta[d][i] == w_delta_statistic(counts, d)
-                    assert arrays.w_delta[d][i] == pytest.approx(
-                        exact_w_delta(*table, d), rel=1e-12
-                    )
-                    assert arrays.w_cor_delta[d][i] == w_corrected(
+                for k, d in enumerate(weights, start=1):  # W_delta is the W row of d
+                    assert arrays.w[k, i] == w_delta_statistic(counts, d)
+                    assert arrays.w[k, i] == pytest.approx(exact_w_delta(*table, d), rel=1e-12)
+                    assert arrays.w_cor[k, i] == w_corrected(
                         counts, 0.15, direction=direction, delta_weight=d
                     )
 
@@ -189,12 +191,13 @@ class TestVectorizedAgainstScalar:
 def reference_tally(config, sampler, labels, z_values, block, size):
     """Per-replicate block tally: every draw through the kernel, counted one by one."""
     r1, s1 = sampler.draw(_stream(config.seed, block), size)
-    arrays = statistic_arrays(r1, sampler.r_alleles, s1, sampler.s_alleles, config.pi_hat,
-                              config.delta_weights, config.correction_direction)
     rejections = np.zeros((len(labels), len(z_values)), dtype=np.int64)
     for i, (test, dw) in enumerate(labels):
-        stat = getattr(arrays, test.lower())  # the StatArrays field of each test
-        magnitude = np.abs(stat if dw is None else stat[dw])
+        # W_delta and W_cor_delta are W and W_cor at their weight
+        weight = config.pi_hat if dw is None else dw
+        arrays = statistic_arrays(r1, sampler.r_alleles, s1, sampler.s_alleles, weight,
+                                  config.correction_direction)
+        magnitude = np.abs(getattr(arrays, test.lower().removesuffix("_delta")))
         for j, z in enumerate(z_values):
             # NaN (degenerate) never rejects.
             rejections[i, j] = int(np.count_nonzero(magnitude >= z))
@@ -424,6 +427,12 @@ class TestSimResult:
         with pytest.raises(KeyError):
             result.cell("W_delta", 1e-3, 0.4)
 
+    def test_cell_lookup_matches_weight_exactly(self):
+        result = estimate_type1(config(reps=5000, tests=("W_delta",), deltas=(0.1, 0.4)))
+        assert result.cell("W_delta", 1e-3, 0.4).delta_weight == 0.4
+        with pytest.raises(KeyError):
+            result.cell("W_delta", 1e-3, 0.4 + 1e-12)
+
 
 class TestConfigValidation:
     def test_bad_alpha(self):
@@ -469,6 +478,8 @@ class TestConfigValidation:
             ("alphas", {"alphas": (1e-2, 1e-3, 1e-2)}, 1e-2),
             ("delta_weights", {"tests": ("W_delta",), "deltas": (0.4, 0.1, 0.4)}, 0.4),
             ("delta_weights", {"tests": ("W_delta",), "deltas": (0.0, -0.0)}, -0.0),
+            # distinct weights whose cell labels, W_delta[0.1], would repeat
+            ("delta_weights", {"tests": ("W_delta",), "deltas": (0.1, 0.1000000001)}, "0.1"),
         ],
     )
     def test_repeated_entries_rejected(self, field, kwargs, value):

@@ -159,6 +159,8 @@ class TestStatisticRelations:
 
     @given(tables(), pi_hats)
     @settings(max_examples=200)
+    # T == W in floats, while the float q_hat lands just below 1
+    @example(counts=AlleleCounts(1, 27, 14, 14), pi=0.7071067811865476)
     def test_branch_property(self, counts, pi):
         t, w, qh = t_statistic(counts), w_statistic(counts, pi), q_hat(counts, pi)
         assert (abs(w) > abs(t)) == (qh < 1.0)
@@ -301,12 +303,14 @@ class TestContinuityCorrection:
         # in a batch, next to its neighbours one case count either side
         r1 = np.array([counts.r1 - 1, counts.r1, counts.r1 + 1], dtype=np.int64)
         n1 = counts.r1 + counts.r2
-        arrays = statistic_arrays(r1, n1, counts.s1, counts.s1 + counts.s2, 0.15, (0.4,))
-        assert arrays.w_cor[1] == 0.0 and arrays.w_cor_delta[0.4][1] == 0.0
+        # at two weight rows: the prevalence estimate and a delta weight
+        column = np.array([[0.15], [0.4]])
+        arrays = statistic_arrays(r1, n1, counts.s1, counts.s1 + counts.s2, column)
+        assert arrays.w_cor[0, 1] == 0.0 and arrays.w_cor[1, 1] == 0.0
         for i in (0, 2):
             exact = exact_w_cor(int(r1[i]), n1 - int(r1[i]), counts.s1, counts.s2, 0.15,
                                 "toward_zero")
-            assert arrays.w_cor[i] == pytest.approx(exact, rel=1e-12)
+            assert arrays.w_cor[0, i] == pytest.approx(exact, rel=1e-12)
 
     def test_away_from_zero_grows(self):
         w = w_statistic(COUNTS, PI_HAT)
