@@ -89,12 +89,12 @@ def parse_counts_file(path: str) -> tuple[list[str], np.ndarray]:
     """Parse a marker counts table into its marker ids and an ``(n, 4)`` int64
     array of ``case_m1 case_m2 ctrl_m1 ctrl_m2`` counts.
 
-    Whitespace-separated columns ``marker_id case_m1 case_m2 ctrl_m1
-    ctrl_m2``; ``#`` starts a comment line; the header row is required and
-    validated. Counts are read by ``int()``. Duplicate marker ids, negative
-    counts, odd group totals and totals above ``stats.MAX_ALLELE_TOTAL`` are
-    rejected at the first offending line, with the messages of
-    :class:`~alleletest.stats.AlleleCounts`.
+    Whitespace-separated UTF-8 columns ``marker_id case_m1 case_m2 ctrl_m1
+    ctrl_m2``, after an optional byte-order mark; ``#`` starts a comment line;
+    the header row is required and validated. Counts are read by ``int()``.
+    Duplicate marker ids, negative counts, odd group totals and totals above
+    ``stats.MAX_ALLELE_TOTAL`` are rejected at the first offending line, with
+    the messages of :class:`~alleletest.stats.AlleleCounts`.
     """
     ids: list[str] = []
     values: list[int] = []
@@ -102,7 +102,7 @@ def parse_counts_file(path: str) -> tuple[list[str], np.ndarray]:
     seen: set[str] = set()
     header_seen = False
     error = None
-    with open(path, "rt", encoding="utf-8") as fh:
+    with open(path, "rt", encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

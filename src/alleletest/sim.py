@@ -47,7 +47,6 @@ from .model import (
     marker_conditional_freqs,
 )
 from .stats import (
-    CORRECTION_DIRECTIONS,
     MAX_ALLELE_TOTAL,
     _check_pi_hat,
     statistic_arrays,
@@ -81,7 +80,7 @@ _RNG_DESCRIPTION = f"philox4x64 keyed by (seed, block), block size {_BLOCK}"
 
 
 class SimulationConfigError(ValueError):
-    """Simulation request inconsistent with the estimator being run."""
+    """Simulation request inconsistent in itself or with the estimator run."""
 
 
 def _weight_label(delta_weight: float) -> str:
@@ -94,7 +93,9 @@ class SimConfig:
     """Full description of one simulation run (everything but the worker count).
 
     Identical configs, including the seed, produce bit-identical results;
-    the degree of parallelism is deliberately not part of the config.
+    the degree of parallelism is deliberately not part of the config. The
+    delta-weighted tests come with ``delta_weights`` and only with them; W_cor
+    is corrected toward zero.
     """
 
     model: PenetranceModel
@@ -107,7 +108,6 @@ class SimConfig:
     tests: tuple[str, ...] = BASE_TESTS
     mode: str = "allele"
     seed: int = 0
-    correction_direction: str = "toward_zero"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
@@ -147,6 +147,11 @@ class SimConfig:
             raise ValueError("at least one test is required")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if any(t in DELTA_TESTS for t in self.tests) != bool(self.delta_weights):
+            raise SimulationConfigError(
+                f"delta-weighted tests {DELTA_TESTS} and delta weights come together; "
+                f"got tests {self.tests} and delta weights {self.delta_weights}"
+            )
         # Cells are reported by label, so no two weights may print alike.
         labels = [_weight_label(d) for d in self.delta_weights]
         for name, values in (("tests", self.tests), ("alphas", self.alphas),
@@ -154,11 +159,6 @@ class SimConfig:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ValueError(f"{name} repeats {repeated[0]!r}")
-        if self.correction_direction not in CORRECTION_DIRECTIONS:
-            raise ValueError(
-                f"correction_direction must be one of {CORRECTION_DIRECTIONS}, "
-                f"got {self.correction_direction!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -363,8 +363,7 @@ def _tally_block(
     cells, counts = np.unique(r1 * stride + s1, return_counts=True)
     r1, s1 = np.divmod(cells[None, :], stride)
     weights = (config.pi_hat, *config.delta_weights)
-    arrays = statistic_arrays(r1, sampler.r_alleles, s1, sampler.s_alleles,
-                              np.array(weights)[:, None], config.correction_direction)
+    arrays = statistic_arrays(r1, sampler.r_alleles, s1, sampler.s_alleles, np.array(weights)[:, None])
     stats = np.stack([  # W_delta and W_cor_delta are the W and W_cor rows of their weight
         getattr(arrays, test.lower().removesuffix("_delta"))[0 if dw is None else weights.index(dw)]
         for test, dw in labels
@@ -379,10 +378,6 @@ def _run(config: SimConfig, kind: str, workers: int) -> SimResult:
     start = time.perf_counter()
     sampler = _make_sampler(config)
     labels = _labels(config)
-    if not labels:
-        raise SimulationConfigError(
-            "delta-weighted tests were requested but no delta weights are configured"
-        )
     z_values = np.array([two_sided_critical_value(a) for a in config.alphas])
     total = np.zeros((len(labels), len(z_values)), dtype=np.int64)
     degenerate = 0
@@ -474,8 +469,7 @@ def null_distribution_sample(config: SimConfig, workers: int = 1) -> NullSample:
 
     def fill(block: int, start: int, size: int) -> None:
         r1, s1 = sampler.draw(_stream(config.seed, block), size)
-        arrays = statistic_arrays(r1, sampler.r_alleles, s1, sampler.s_alleles,
-                                  config.pi_hat, config.correction_direction)
+        arrays = statistic_arrays(r1, sampler.r_alleles, s1, sampler.s_alleles, config.pi_hat)
         sl = slice(start, start + size)
         t[sl] = arrays.t
         w[sl] = arrays.w

@@ -423,21 +423,19 @@ def effect_size(
 
 def report_arrays(
     r1, n1, s1, n0, pi_hat: float, *, ci_level=0.95, direction="toward_zero"
-) -> tuple[StatArrays, float | None]:
+) -> tuple[StatArrays, float]:
     """Kernel output for the reports of many tables, and the interval quantile.
 
-    Takes the count arrays of :func:`statistic_arrays`. ``pi_hat`` and,
-    unless every table is degenerate, ``ci_level`` are checked first; the
-    quantile is None when no table has an interval.
+    Takes the count arrays of :func:`statistic_arrays`. ``pi_hat`` and then
+    ``ci_level`` are checked before the kernel runs.
     """
     _check_pi_hat(pi_hat)
-    arrays = statistic_arrays(r1, n1, s1, n0, pi_hat, direction=direction)
-    z = None if np.all(arrays.degenerate) else _ci_quantile(ci_level)
-    return arrays, z
+    z = _ci_quantile(ci_level)
+    return statistic_arrays(r1, n1, s1, n0, pi_hat, direction=direction), z
 
 
 def report_rows(
-    arrays: StatArrays, z: float | None, start: int = 0, stop: int | None = None
+    arrays: StatArrays, z: float, start: int = 0, stop: int | None = None
 ) -> Iterator[tuple]:
     """Report cells of tables ``start:stop``, in the order of ``cli.SCAN_COLUMNS``.
 

@@ -4,10 +4,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from alleletest import cli
+from alleletest import sim as sim_mod
 from alleletest.cli import (
     COUNTS_HEADER,
     MAX_SWEEP_POINTS,
@@ -106,6 +107,18 @@ class TestParseCountsFile:
         )
         with pytest.raises(CountsFileError, match="line 3: case allele total .* exceeds"):
             parse_counts_file(str(path))
+
+    def test_leading_byte_order_mark_skipped(self, counts_file, tmp_path):
+        # spreadsheet tools often save UTF-8 text with a leading byte-order mark
+        path = tmp_path / "bom.tsv"
+        path.write_bytes(b"\xef\xbb\xbf" + VALID_FILE.encode())
+        ids, counts = parse_counts_file(str(path))
+        want_ids, want_counts = parse_counts_file(counts_file)
+        assert ids == want_ids
+        np.testing.assert_array_equal(counts, want_counts)
+        # only a leading mark is skipped: one later in the file is part of a marker id
+        path.write_text(VALID_FILE.replace("rs2", "\ufeffrs2"), encoding="utf-8")
+        assert parse_counts_file(str(path))[0][1] == "\ufeffrs2"
 
     def test_non_integer(self, tmp_path):
         path = tmp_path / "float.tsv"
@@ -298,9 +311,12 @@ class TestScanCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "ci_level" in captured.err
-        # no table needs an interval, so the level is never read
+        # the level is checked even where no table needs an interval
         path.write_text(header + "rs1\t0\t10\t3\t7\nrs2\t0\t10\t0\t10\n")
-        assert main(["scan", "--counts", str(path), "--pi-hat", "0.1", "--ci-level", "1.5"]) == 0
+        assert main(["scan", "--counts", str(path), "--pi-hat", "0.1", "--ci-level", "1.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ci_level" in captured.err
 
 
 class TestModelCommand:
@@ -639,6 +655,20 @@ class TestSimulateCommand:
         assert main([*self.BASE, *extra]) == 1
         assert "repeats" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--tests", "T,W_delta"],  # the W_delta cells would be dropped
+            ["--tests", "W_cor_delta"],
+            ["--tests", "T,W", "--deltas", "0.4"],  # no cell would read the weight
+        ],
+    )
+    def test_unpaired_delta_tests_and_weights_rejected(self, extra, capsys):
+        assert main([*self.BASE, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "come together" in captured.err
+
     def test_type1_with_ld_rejected(self, capsys):
         code = main(self.BASE + ["--delta", "0.3"])
         assert code == 1
@@ -651,6 +681,46 @@ class TestSimulateCommand:
         assert payload["kind"] == "power"
         w_cell = [c for c in payload["cells"] if c["test"] == "W" and c["alpha"] == 1e-3]
         assert w_cell[0]["fraction"] > 0.5  # strong LD at this design
+
+
+class TestSimulateRequestRules:
+    """Through ``main``: a request runs exactly when its delta-weighted tests and
+    ``--deltas`` come together, and then reports every cell it asked for."""
+
+    BASE = ["simulate", "--p1", "0.10", "--pen", "0.60,0.35,0.10", "--q1", "0.10",
+            "--r", "20", "--s", "20", "--pi-hat", "0.15", "--reps", "200", "--seed", "3",
+            "--alphas", "1e-2,1e-3"]
+    ALPHAS = (1e-2, 1e-3)
+
+    @given(
+        tests=st.lists(st.sampled_from(sim_mod.ALL_TESTS), unique=True, min_size=1),
+        deltas=st.none() | st.lists(st.sampled_from([0.0, 0.25, 0.4, 1.0]), unique=True,
+                                    min_size=1, max_size=3),
+        mode=st.sampled_from(sim_mod.MODES),
+    )
+    @example(tests=["T", "W_delta"], deltas=None, mode="allele")
+    @example(tests=["T", "W"], deltas=[0.4], mode="genotype")
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_code_and_cells(self, tests, deltas, mode, capsys):
+        argv = [*self.BASE, "--mode", mode, "--tests", ",".join(tests)]
+        if deltas is not None:
+            argv += ["--deltas", ",".join(map(repr, deltas))]
+        paired = any(t in sim_mod.DELTA_TESTS for t in tests) == (deltas is not None)
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == (0 if paired else 1)
+        if not paired:
+            assert out == ""
+            return
+        want = [
+            (test, dw, alpha)
+            for test in tests
+            for dw in (deltas if test in sim_mod.DELTA_TESTS else [None])
+            for alpha in self.ALPHAS
+        ]
+        cells = json.loads(out)["cells"]
+        assert [(c["test"], c["delta_weight"], c["alpha"]) for c in cells] == want
 
 
 class TestConfigFile:

@@ -59,8 +59,8 @@ CASES = {
 }
 
 
-def _run(name: str, out: Path) -> str:
-    argv = [a.format(counts=DATA / COUNTS, out=out) for a in CASES[name]]
+def _run(name: str, out: Path, counts: Path = DATA / COUNTS) -> str:
+    argv = [a.format(counts=counts, out=out) for a in CASES[name]]
     assert main(argv) == 0
     text = out.read_text(encoding="utf-8")
     if name.endswith(".json"):
@@ -82,6 +82,14 @@ def test_scan_output_does_not_depend_on_block_size(name, tmp_path, monkeypatch, 
     monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", 7)
     expected = (DATA / name).read_text(encoding="utf-8")
     assert _run(name, tmp_path / name) == expected
+
+
+@pytest.mark.parametrize("name", ["scan_toward_zero.tsv", "scan_away_from_zero.tsv"])
+def test_scan_output_does_not_depend_on_byte_order_mark(name, tmp_path, capsys):
+    counts = tmp_path / COUNTS
+    counts.write_bytes(b"\xef\xbb\xbf" + (DATA / COUNTS).read_bytes())
+    expected = (DATA / name).read_text(encoding="utf-8")
+    assert _run(name, tmp_path / name, counts) == expected
 
 
 def test_cli_imports_no_scipy(tmp_path):

@@ -52,7 +52,7 @@ NULL_MARKER_10 = MarkerSpec(q1=0.10, delta=0.0)
 
 def config(q1=0.10, delta=0.0, r=500, s=500, reps=100_000, alphas=(1e-3,), seed=1,
            tests=("T", "W", "W_cor", "U"), deltas=(), mode="allele", model=ADDITIVE,
-           pi_hat=0.15, direction="toward_zero"):
+           pi_hat=0.15):
     return SimConfig(
         model=model,
         marker=MarkerSpec(q1=q1, delta=delta),
@@ -64,7 +64,6 @@ def config(q1=0.10, delta=0.0, r=500, s=500, reps=100_000, alphas=(1e-3,), seed=
         tests=tests,
         mode=mode,
         seed=seed,
-        correction_direction=direction,
     )
 
 
@@ -195,8 +194,7 @@ def reference_tally(config, sampler, labels, z_values, block, size):
     for i, (test, dw) in enumerate(labels):
         # W_delta and W_cor_delta are W and W_cor at their weight
         weight = config.pi_hat if dw is None else dw
-        arrays = statistic_arrays(r1, sampler.r_alleles, s1, sampler.s_alleles, weight,
-                                  config.correction_direction)
+        arrays = statistic_arrays(r1, sampler.r_alleles, s1, sampler.s_alleles, weight)
         magnitude = np.abs(getattr(arrays, test.lower().removesuffix("_delta")))
         for j, z in enumerate(z_values):
             # NaN (degenerate) never rejects.
@@ -212,7 +210,6 @@ class TestCellTally:
     @settings(max_examples=100, deadline=None)
     @given(
         mode=st.sampled_from(["allele", "genotype"]),
-        direction=st.sampled_from(CORRECTION_DIRECTIONS),
         weights=st.lists(st.sampled_from([0.0, 0.15, 0.4, 0.5, 1.0]), unique=True, max_size=3),
         q1=st.sampled_from([0.0005, 0.002, 0.01, 0.1, 0.5]),
         r=st.sampled_from(SIZES),
@@ -222,17 +219,16 @@ class TestCellTally:
         alphas=st.lists(st.sampled_from([1.0, 0.5, 0.05, 1e-3, 1e-6]), unique=True,
                         min_size=1, max_size=3),
     )
-    @example(mode="allele", direction="toward_zero", weights=[0.0, 1.0], q1=0.5,
+    @example(mode="allele", weights=[0.0, 1.0], q1=0.5,
              r=100_000, s=100_000, size=_BLOCK, block=0, alphas=[0.5, 1e-3])
-    @example(mode="genotype", direction="away_from_zero", weights=[0.0, 0.4, 1.0], q1=0.002,
+    @example(mode="genotype", weights=[0.0, 0.4, 1.0], q1=0.002,
              r=50, s=50, size=20_000, block=1, alphas=[1.0, 0.05])
-    @example(mode="allele", direction="away_from_zero", weights=[1.0], q1=0.01,
+    @example(mode="allele", weights=[1.0], q1=0.01,
              r=1, s=100_000, size=_BLOCK - 17, block=2, alphas=[1.0, 1e-3])
-    def test_matches_reference_tally(self, mode, direction, weights, q1, r, s, size, block,
-                                      alphas):
+    def test_matches_reference_tally(self, mode, weights, q1, r, s, size, block, alphas):
         tests = ("T", "W", "W_cor", "U") + (("W_delta", "W_cor_delta") if weights else ())
         cfg = config(q1=q1, r=r, s=s, reps=size, alphas=alphas, tests=tests, deltas=weights,
-                     mode=mode, seed=block + 17, direction=direction)
+                     mode=mode, seed=block + 17)
         sampler = _make_sampler(cfg)
         labels = _labels(cfg)
         z_values = np.array([two_sided_critical_value(a) for a in cfg.alphas])
@@ -511,6 +507,17 @@ class TestConfigValidation:
         assert config(r=2**52, s=1).design.r_cases == 2**52
 
     def test_delta_tests_without_weights(self):
-        cfg = config(tests=("W_delta",), deltas=())
         with pytest.raises(SimulationConfigError):
-            estimate_type1(cfg)
+            config(tests=("W_delta",), deltas=())
+
+    @pytest.mark.parametrize(
+        "tests,deltas",
+        [
+            (("T", "W_delta"), ()),  # the W_delta cells would be dropped
+            (("T", "W_cor_delta"), ()),
+            (("T", "W"), (0.4,)),  # no cell would read the weight
+        ],
+    )
+    def test_delta_tests_and_weights_come_together(self, tests, deltas):
+        with pytest.raises(SimulationConfigError, match="come together"):
+            config(tests=tests, deltas=deltas)
