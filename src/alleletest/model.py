@@ -205,6 +205,11 @@ class MarkerTerms(NamedTuple):
     q1: Any
 
 
+def _sqrt_ratio(a, b):
+    """``sqrt(min(a/b, b/a))`` for non-negative ``a``, ``b``, not both 0."""
+    return np.sqrt(np.minimum(a, b) / np.maximum(a, b))
+
+
 def marker_terms(p1, q1, delta) -> MarkerTerms:
     """Bounds, feasibility and haplotype frequencies for a causal-variant
     frequency ``p1`` and marker coordinates ``(q1, delta)``.
@@ -214,8 +219,10 @@ def marker_terms(p1, q1, delta) -> MarkerTerms:
     """
     p2 = 1.0 - p1
     q2 = 1.0 - q1
-    lo = np.maximum(-np.sqrt(p1 * q1 / (p2 * q2)), -np.sqrt(p2 * q2 / (p1 * q1)))
-    hi = np.minimum(np.sqrt(p1 * q2 / (p2 * q1)), np.sqrt(p2 * q1 / (p1 * q2)))
+    # Each bound is sqrt of the smaller of a ratio and its inverse, taken as
+    # smaller / larger so that a product that underflows to 0 divides nothing.
+    lo = -_sqrt_ratio(p1 * q1, p2 * q2)
+    hi = _sqrt_ratio(p1 * q2, p2 * q1)
     feasible = (lo - _BOUND_TOL <= delta) & (delta <= hi + _BOUND_TOL)
     d = delta * np.sqrt(p1 * p2 * q1 * q2)
     a1m1 = p1 * q1 + d

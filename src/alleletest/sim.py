@@ -18,7 +18,9 @@ Reproducibility contract: replications are processed in fixed-size blocks,
 each with its own counter-based random stream keyed by ``(seed, block)``.
 The draws of replication ``i`` therefore depend only on ``(seed, i)``, and
 results are bit-identical no matter how many workers process the blocks;
-aggregation uses integer counters, which are order-insensitive.
+aggregation uses integer counters, which are order-insensitive. Allele-mode
+counts are numpy's ``Generator.binomial`` draws on that stream, replayed by
+table lookup where numpy inverts (``_binomial.BinomialDraw``).
 
 Every statistic is a function of the table ``(r1, s1)`` alone, so a block's
 tally evaluates each distinct table once, at every weight in one kernel call,
@@ -32,11 +34,12 @@ import math
 import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Iterator
 
 import numpy as np
 
+from ._binomial import BinomialDraw
 from .model import (
     DesignConstants,
     MarkerSpec,
@@ -295,11 +298,19 @@ class _Sampler:
     q1_ctrl: float
     case_probs: np.ndarray | None
     ctrl_probs: np.ndarray | None
+    # Allele-mode draws, built from the fields above (``replace`` rebuilds them).
+    case_draw: BinomialDraw | None = field(default=None, init=False, repr=False, compare=False)
+    ctrl_draw: BinomialDraw | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.mode == "allele":
+            object.__setattr__(self, "case_draw", BinomialDraw(self.r_alleles, self.q1_case))
+            object.__setattr__(self, "ctrl_draw", BinomialDraw(self.s_alleles, self.q1_ctrl))
 
     def draw(self, gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         if self.mode == "allele":
-            r1 = gen.binomial(self.r_alleles, self.q1_case, size=n)
-            s1 = gen.binomial(self.s_alleles, self.q1_ctrl, size=n)
+            r1 = self.case_draw(gen, n)
+            s1 = self.ctrl_draw(gen, n)
         else:
             cg = gen.multinomial(self.r_cases, self.case_probs, size=n)
             sg = gen.multinomial(self.s_controls, self.ctrl_probs, size=n)

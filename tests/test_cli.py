@@ -723,6 +723,48 @@ class TestSimulateRequestRules:
         assert [(c["test"], c["delta_weight"], c["alpha"]) for c in cells] == want
 
 
+class TestSimulateFuzz:
+    """Through ``main``, any simulate request exits 0, 1 or 3, prints nothing
+    unless it succeeds, and reports each fraction as its own count over reps."""
+
+    EDGES = [0.0, 1.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e-300, 1e-12,
+             0.5, 1.0 - 1e-16]
+    VALUE = st.sampled_from(EDGES) | st.floats(0.0, 1.0)
+
+    @given(
+        q1=VALUE,
+        pi_hat=VALUE,
+        alphas=st.lists(VALUE, min_size=1, max_size=2),
+        deltas=st.lists(VALUE, max_size=2),
+        r=st.just(1) | st.integers(1, 1000),
+        s=st.just(10**9) | st.integers(1, 10**9),
+        mode=st.sampled_from(sim_mod.MODES),
+        reps=st.integers(1, 200),
+    )
+    @example(q1=1e-12, pi_hat=0.1, alphas=[1.0, 1e-3], deltas=[0.0, 1.0], r=1, s=10**9,
+             mode="allele", reps=200)
+    @example(q1=0.5, pi_hat=0.1, alphas=[0.5], deltas=[], r=1, s=10**9, mode="genotype", reps=200)
+    @example(q1=5e-324, pi_hat=0.5, alphas=[1.0], deltas=[], r=1, s=10**9, mode="allele", reps=1)
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_code_and_fractions(self, q1, pi_hat, alphas, deltas, r, s, mode, reps, capsys):
+        argv = ["simulate", "--p1", "0.10", "--pen", "0.60,0.35,0.10", "--q1", repr(q1),
+                "--r", str(r), "--s", str(s), "--pi-hat", repr(pi_hat), "--reps", str(reps),
+                "--seed", "5", "--mode", mode, "--workers", "1",
+                "--alphas", ",".join(map(repr, alphas)), "--deltas", ",".join(map(repr, deltas))]
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code in (0, 1, 3)
+        if code != 0:
+            assert out == ""
+            return
+        cells = json.loads(out)["cells"]
+        assert cells
+        for cell in cells:
+            assert cell["fraction"] == cell["rejections"] / reps
+            assert 0.0 <= cell["fraction"] <= 1.0
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

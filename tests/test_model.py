@@ -85,6 +85,16 @@ class TestDeltaBounds:
         assert lo == pytest.approx(blo, abs=2e-6)
         assert hi == pytest.approx(bhi, abs=2e-6)
 
+    @pytest.mark.parametrize("p1,q1", [(0.1, 5e-324), (0.4, 5e-324), (1e-200, 1e-200)])
+    def test_underflowing_products_give_bounds(self, p1, q1):
+        # p1*q1 (or p2*q1) rounds to 0 here; the bounds still contain 0.
+        lo, hi = delta_bounds(p1, q1)
+        assert -1.0 <= lo <= 0.0 <= hi <= 1.0
+        q1_case, q1_ctrl = marker_conditional_freqs(
+            PenetranceModel(p1=p1, pen11=0.6, pen12=0.35, pen22=0.1), MarkerSpec(q1=q1, delta=0.0)
+        )
+        assert q1_case == q1_ctrl == q1
+
     def test_boundary_is_exact_feasibility_edge(self):
         model = PenetranceModel(p1=0.25, pen11=0.6, pen12=0.35, pen22=0.1)
         lo, hi = delta_bounds(0.25, 0.05)

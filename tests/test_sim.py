@@ -80,6 +80,17 @@ class TestDrawCounts:
         r1, s1 = sampler.draw(_stream(0, 0), 20)
         assert (r1 == 0).all() and (s1 > 0).any()
 
+    def test_allele_draws_are_numpy_binomial_streams(self):
+        base = _make_sampler(config(q1=0.01, r=500, s=400))
+        # p * n <= 30 on both sides (inverted, the control one from 1 - p), and BTPE.
+        for sampler in (base, dataclasses.replace(base, q1_case=0.02, q1_ctrl=0.97),
+                        dataclasses.replace(base, q1_case=0.3)):
+            gen, twin = _stream(9, 4), _stream(9, 4)
+            r1, s1 = sampler.draw(gen, 5000)
+            np.testing.assert_array_equal(r1, twin.binomial(sampler.r_alleles, sampler.q1_case, 5000))
+            np.testing.assert_array_equal(s1, twin.binomial(sampler.s_alleles, sampler.q1_ctrl, 5000))
+            assert gen.random() == twin.random()
+
     def test_mean_matches_binomial_moments(self):
         # delta 0.3 puts the case M1 frequency at 0.145
         n = 100_000
