@@ -22,9 +22,13 @@ aggregation uses integer counters, which are order-insensitive. Allele-mode
 counts are numpy's ``Generator.binomial`` draws on that stream, replayed by
 table lookup where numpy inverts (``_binomial.BinomialDraw``).
 
-Every statistic is a function of the table ``(r1, s1)`` alone, so a block's
-tally evaluates each distinct table once, at every weight in one kernel call,
-and weights its rejections by the number of replicates that drew it.
+Every statistic is a function of the table ``(r1, s1)`` alone, so the tally
+evaluates each distinct table once, at every weight in one kernel call, and
+weights its rejections by the number of replicates that drew it. Where every
+table the run can draw fits in a box of at most one block's cells (rare-marker
+and small designs), each block counts its tables in a histogram over that box
+and the statistics run once per run, on the run's distinct tables; otherwise
+they run once per block, on the block's.
 """
 
 from __future__ import annotations
@@ -307,6 +311,12 @@ class _Sampler:
             object.__setattr__(self, "case_draw", BinomialDraw(self.r_alleles, self.q1_case))
             object.__setattr__(self, "ctrl_draw", BinomialDraw(self.s_alleles, self.q1_ctrl))
 
+    def supports(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The ``(lowest, highest)`` counts ``draw`` can return, cases then controls."""
+        if self.mode == "allele":
+            return self.case_draw.support, self.ctrl_draw.support
+        return (0, self.r_alleles), (0, self.s_alleles)
+
     def draw(self, gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         if self.mode == "allele":
             r1 = self.case_draw(gen, n)
@@ -349,14 +359,42 @@ def _labels(config: SimConfig) -> list[tuple[str, float | None]]:
     return out
 
 
-def _map_blocks(fn, blocks, workers: int) -> list:
-    """``fn(block, start, size)`` over ``blocks`` in order, on ``workers`` threads."""
+def _map_blocks(fn, blocks, workers: int) -> Iterator:
+    """Yield ``fn(block, start, size)`` over ``blocks`` in order, on ``workers``
+    threads, each result as it arrives; no list of them is kept."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     if workers == 1:
-        return [fn(*blk) for blk in blocks]
+        for blk in blocks:
+            yield fn(*blk)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda blk: fn(*blk), blocks))
+        yield from pool.map(lambda blk: fn(*blk), blocks)
+
+
+def _tally_tables(
+    config: SimConfig,
+    sampler: _Sampler,
+    labels: list[tuple[str, float | None]],
+    z_values: np.ndarray,
+    r1: np.ndarray,
+    s1: np.ndarray,
+    counts: np.ndarray,
+) -> tuple[np.ndarray, int]:
+    """Rejections per (label, level) and degenerate replicates of the distinct
+    tables ``(r1, s1)``, drawn ``counts`` times: each table is evaluated once,
+    as a row, at the weight column ``(pi_hat, *delta_weights)``."""
+    weights = (config.pi_hat, *config.delta_weights)
+    arrays = statistic_arrays(
+        r1[None, :], sampler.r_alleles, s1[None, :], sampler.s_alleles, np.array(weights)[:, None]
+    )
+    stats = np.stack([  # W_delta and W_cor_delta are the W and W_cor rows of their weight
+        getattr(arrays, test.lower().removesuffix("_delta"))[0 if dw is None else weights.index(dw)]
+        for test, dw in labels
+    ])
+    # NaN (degenerate) never rejects; the sums are exact, in int64.
+    rejected = np.abs(stats)[:, None] >= z_values[:, None]
+    return np.einsum("tak,k->ta", rejected, counts), int(counts @ arrays.degenerate[0])
 
 
 def _tally_block(
@@ -367,22 +405,12 @@ def _tally_block(
     block: int,
     size: int,
 ) -> tuple[np.ndarray, int]:
-    """Draw one block; evaluate each distinct table once, as a row, at the
-    weight column ``(pi_hat, *delta_weights)``, and weight it by its count."""
+    """Draw one block and tally its distinct tables."""
     r1, s1 = sampler.draw(_stream(config.seed, block), size)
     stride = sampler.s_alleles + 1
     cells, counts = np.unique(r1 * stride + s1, return_counts=True)
-    r1, s1 = np.divmod(cells[None, :], stride)
-    weights = (config.pi_hat, *config.delta_weights)
-    arrays = statistic_arrays(r1, sampler.r_alleles, s1, sampler.s_alleles, np.array(weights)[:, None])
-    stats = np.stack([  # W_delta and W_cor_delta are the W and W_cor rows of their weight
-        getattr(arrays, test.lower().removesuffix("_delta"))[0 if dw is None else weights.index(dw)]
-        for test, dw in labels
-    ])
-    # NaN (degenerate) never rejects; the sums are exact, a block has at
-    # most 2**16 replicates.
-    rejections = (np.abs(stats)[:, None] >= z_values[:, None]) @ counts.astype(np.float64)
-    return rejections.astype(np.int64), int(counts @ arrays.degenerate[0])
+    r1, s1 = np.divmod(cells, stride)
+    return _tally_tables(config, sampler, labels, z_values, r1, s1, counts)
 
 
 def _run(config: SimConfig, kind: str, workers: int) -> SimResult:
@@ -390,15 +418,42 @@ def _run(config: SimConfig, kind: str, workers: int) -> SimResult:
     sampler = _make_sampler(config)
     labels = _labels(config)
     z_values = np.array([two_sided_critical_value(a) for a in config.alphas])
-    total = np.zeros((len(labels), len(z_values)), dtype=np.int64)
-    degenerate = 0
-    for rej, ndeg in _map_blocks(
-        lambda b, _, size: _tally_block(config, sampler, labels, z_values, b, size),
-        _blocks(config.replications),
-        workers,
-    ):
-        total += rej
-        degenerate += ndeg
+    blocks = _blocks(config.replications)
+    (r_lo, r_hi), (s_lo, s_hi) = sampler.supports()
+    width = s_hi - s_lo + 1
+    box = (r_hi - r_lo + 1) * width
+    if box <= _BLOCK:
+        # Every table the run can draw has a cell in a box no larger than a
+        # block: count the run's tables, then evaluate each distinct one once.
+        def count_tables(block: int, _: int, size: int) -> np.ndarray:
+            """Draw one block and count its tables over the box, row-major."""
+            r1, s1 = sampler.draw(_stream(config.seed, block), size)
+            r1 *= width  # the key (r1 - r_lo) * width + (s1 - s_lo), in place
+            r1 += s1
+            r1 -= r_lo * width + s_lo
+            block_hist = np.bincount(r1, minlength=box)
+            if block_hist.size > box:
+                raise RuntimeError(f"block {block} drew a table outside its support box")
+            return block_hist
+
+        hist = np.zeros(box, dtype=np.int64)
+        for block_hist in _map_blocks(count_tables, blocks, workers):
+            hist += block_hist
+        drawn = np.flatnonzero(hist)
+        r1, s1 = np.divmod(drawn, width)
+        total, degenerate = _tally_tables(
+            config, sampler, labels, z_values, r1 + r_lo, s1 + s_lo, hist[drawn]
+        )
+    else:
+        total = np.zeros((len(labels), len(z_values)), dtype=np.int64)
+        degenerate = 0
+        for rej, ndeg in _map_blocks(
+            lambda b, _, size: _tally_block(config, sampler, labels, z_values, b, size),
+            blocks,
+            workers,
+        ):
+            total += rej
+            degenerate += ndeg
     cells = []
     n = config.replications
     for i, (test, dw) in enumerate(labels):
@@ -488,5 +543,6 @@ def null_distribution_sample(config: SimConfig, workers: int = 1) -> NullSample:
         qh[sl] = arrays.q_hat
         deg[sl] = arrays.degenerate
 
-    _map_blocks(fill, _blocks(n), workers)
+    for _ in _map_blocks(fill, _blocks(n), workers):
+        pass
     return NullSample(t=t, w=w, u=u, q_hat=qh, degenerate=deg)

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from alleletest import cli
@@ -219,6 +219,18 @@ def counts_files(draw):
     lines += draw(st.lists(st.one_of(_row, _row, _row, _row, _filler), min_size=1, max_size=10))
     endings = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
     return "".join(line + end for line, end in zip(lines, endings))
+
+
+@st.composite
+def valid_counts_files(draw):
+    """Text of a small valid counts file: a header, then rows under distinct ids
+    with blank and comment lines among them."""
+    entries = draw(st.lists(_valid_row | _valid_row | _filler, min_size=1, max_size=10))
+    lines = [HEADER] + [
+        entry if isinstance(entry, str) else "\t".join([f"m{i}", *entry])
+        for i, entry in enumerate(entries)
+    ]
+    return "\n".join(lines) + "\n"
 
 
 class TestParseMatchesRowLoop:
@@ -763,6 +775,106 @@ class TestSimulateFuzz:
         for cell in cells:
             assert cell["fraction"] == cell["rejections"] / reps
             assert 0.0 <= cell["fraction"] <= 1.0
+
+
+# Boundary and non-finite values for the probability-like flags of scan and power.
+EDGES = [0.0, 1.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e-300, 1e-12, 0.5,
+         1.0 - 1e-16, -1.0, 2.0]
+OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+class TestScanFuzz:
+    """Through ``main``, a scan of any small counts file exits 0, 1 or 3, prints
+    nothing unless it succeeds, and then prints one row per marker."""
+
+    LEVEL = OPEN_UNIT | OPEN_UNIT | st.sampled_from(EDGES)
+
+    @given(
+        text=counts_files() | valid_counts_files(),
+        pi_hat=LEVEL,
+        ci_level=LEVEL,
+        direction=st.sampled_from(["toward_zero", "away_from_zero"]),
+    )
+    @example(text=f"{HEADER}\nrs1\t2\t2\t2\t2\n", pi_hat=0.0, ci_level=0.95,
+             direction="toward_zero")
+    @example(text=f"{HEADER}\nrs1\t2\t2\t2\t2\n", pi_hat=0.1, ci_level=float("nan"),
+             direction="toward_zero")
+    @example(text=f"{HEADER}\nrs1\t0\t4\t0\t4\n", pi_hat=0.1, ci_level=1.0,
+             direction="away_from_zero")
+    @example(text=f"{HEADER}\nrs1\t{BIG}\t2\t2\t2\n", pi_hat=float("inf"), ci_level=0.0,
+             direction="toward_zero")
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_code_and_rows(self, tmp_path_factory, text, pi_hat, ci_level, direction, capsys):
+        path = tmp_path_factory.mktemp("counts") / "counts.tsv"
+        with open(path, "wt", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        code = main(["scan", "--counts", str(path), "--pi-hat", repr(pi_hat),
+                     "--ci-level", repr(ci_level), "--direction", direction, "--no-warn-locality"])
+        out = capsys.readouterr().out
+        event(f"exit {code}")
+        assert code in (0, 1, 3)
+        if code != 0:
+            assert out == ""
+            return
+        ids, _ = parse_counts_file(str(path))
+        lines = out.splitlines()
+        assert lines[0] == "\t".join(SCAN_COLUMNS)
+        assert [line.split("\t")[0] for line in lines[1:]] == ids
+
+
+class TestPowerFuzz:
+    """Through ``main``, any power request exits 0, 1 or 3, prints nothing unless
+    it succeeds, and then prints four rows per (coordinate, pi-hat) point, each
+    power empty or in [0, 1]."""
+
+    VALUE = OPEN_UNIT | OPEN_UNIT | st.sampled_from(EDGES)
+    COORDINATES = ("q1", "delta", "delta_weight")
+
+    @given(
+        axis=st.sampled_from(COORDINATES),
+        # A coordinate whose flag is passed or left out against the rules, or None.
+        misplaced=st.sampled_from([None, None, None, *COORDINATES]),
+        q1=VALUE,
+        delta=VALUE | st.floats(-1.5, 1.5),
+        delta_weight=VALUE,
+        values=st.lists(VALUE, min_size=1, max_size=3),
+        pi_hats=st.none() | st.lists(VALUE, min_size=1, max_size=3),
+        alpha=VALUE,
+    )
+    @example(axis="q1", misplaced=None, q1=0.1, delta=0.3, delta_weight=1.0, values=[0.1, 1.0],
+             pi_hats=[0.0, 1.0], alpha=1.0)
+    @example(axis="delta", misplaced=None, q1=0.1, delta=0.0, delta_weight=0.0, values=[0.0],
+             pi_hats=None, alpha=float("nan"))
+    @example(axis="delta_weight", misplaced=None, q1=0.5, delta=0.0, delta_weight=0.0,
+             values=[0.0, 1.0], pi_hats=[float("inf")], alpha=1e-8)
+    @example(axis="q1", misplaced="delta_weight", q1=0.1, delta=5e-324, delta_weight=0.0,
+             values=[1e-300], pi_hats=[0.5], alpha=1.0 - 1e-16)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_code_and_rows(self, axis, misplaced, q1, delta, delta_weight, values, pi_hats,
+                                alpha, capsys):
+        argv = ["power", "--p1", "0.10", "--pen", "0.60,0.35,0.10", "--r", "500", "--s", "400",
+                "--alpha", repr(alpha), "--axis", axis, "--values", ",".join(map(repr, values))]
+        passed = (set(self.COORDINATES) - {axis}) ^ ({misplaced} - {None})
+        fixed = {"q1": q1, "delta": delta, "delta_weight": delta_weight}
+        for name in sorted(passed):
+            argv += ["--" + name.replace("_", "-"), repr(fixed[name])]
+        if pi_hats is not None:
+            argv += ["--pi-hats", ",".join(map(repr, pi_hats))]
+        code = main(argv)
+        out = capsys.readouterr().out
+        event(f"exit {code}")
+        assert code in (0, 1, 3)
+        if code != 0:
+            assert out == ""
+            return
+        lines = out.splitlines()
+        assert lines[0] == "axis,test,variant,power,feasible"
+        assert len(lines) == 1 + 4 * len(values) * len(pi_hats or [None])
+        for line in lines[1:]:
+            power = line.split(",")[3]
+            assert power == "" or 0.0 <= float(power) <= 1.0
 
 
 class TestConfigFile:

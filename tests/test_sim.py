@@ -11,11 +11,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from alleletest.model import DegeneratePrevalenceError, DesignConstants, MarkerSpec, PenetranceModel
+from alleletest.model import (
+    DegeneratePrevalenceError,
+    DesignConstants,
+    MarkerSpec,
+    PenetranceModel,
+    delta_bounds,
+)
 from alleletest.sim import (
     _BLOCK,
+    ALL_TESTS,
     SimConfig,
     SimulationConfigError,
+    _blocks,
     _labels,
     _make_sampler,
     _stream,
@@ -248,6 +256,76 @@ class TestCellTally:
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
         assert got_degenerate == want_degenerate
+
+
+class TestRunTally:
+    """A run's cells are the per-replicate block tallies summed, whether it counts
+    its tables in one histogram (support box within a block) or per block."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        mode=st.sampled_from(["allele", "genotype"]),
+        q1=st.sampled_from([1e-5, 0.002, 0.01, 0.5, 0.99, 1.0 - 1e-5]),
+        r=st.sampled_from([1, 50, 500, 100_000]),
+        s=st.sampled_from([1, 50, 500, 100_000]),
+        reps=st.integers(_BLOCK + 1, 3 * _BLOCK - 1).filter(lambda n: n % _BLOCK),
+        weights=st.lists(st.sampled_from([0.0, 0.4, 1.0]), unique=True, max_size=2),
+        power=st.booleans(),
+        seed=st.integers(0, (1 << 64) - 1),
+    )
+    # The benchmark's design, its flipped twin (whose box starts at n - bound),
+    # a rare marker at R = S = 1e5 and a small genotype design take the
+    # histogram; a common marker at R = S = 1e5, BTPE at R = S = 500 and the
+    # golden genotype design do not.
+    @example(mode="allele", q1=0.01, r=500, s=500, reps=2 * _BLOCK + 3, weights=[0.0, 1.0],
+             power=False, seed=1)
+    @example(mode="allele", q1=0.99, r=500, s=400, reps=_BLOCK + 9, weights=[],
+             power=False, seed=7)
+    @example(mode="allele", q1=1e-5, r=100_000, s=100_000, reps=_BLOCK + 1, weights=[],
+             power=True, seed=2)
+    @example(mode="genotype", q1=0.01, r=50, s=50, reps=3 * _BLOCK - 1, weights=[0.4],
+             power=False, seed=3)
+    @example(mode="allele", q1=0.5, r=100_000, s=100_000, reps=_BLOCK + 7, weights=[0.4],
+             power=False, seed=4)
+    @example(mode="allele", q1=0.05, r=500, s=500, reps=2 * _BLOCK - 1, weights=[],
+             power=True, seed=5)
+    @example(mode="genotype", q1=0.1, r=200, s=300, reps=_BLOCK + 2, weights=[0.0],
+             power=True, seed=6)
+    def test_cells_are_block_tallies_summed(self, mode, q1, r, s, reps, weights, power, seed):
+        tests = ("T", "W", "W_cor", "U") + (("W_delta", "W_cor_delta") if weights else ())
+        delta = 0.5 * delta_bounds(ADDITIVE.p1, q1)[1] if power else 0.0
+        cfg = config(q1=q1, delta=delta, r=r, s=s, reps=reps, alphas=(0.05, 1e-3), tests=tests,
+                     deltas=weights, mode=mode, seed=seed)
+        result = (estimate_power if power else estimate_type1)(cfg)
+        sampler = _make_sampler(cfg)
+        labels = _labels(cfg)
+        z_values = np.array([two_sided_critical_value(a) for a in cfg.alphas])
+        want = np.zeros((len(labels), len(z_values)), dtype=np.int64)
+        want_degenerate = 0
+        for block, _, size in _blocks(reps):
+            rejections, degenerate = reference_tally(cfg, sampler, labels, z_values, block, size)
+            want += rejections
+            want_degenerate += degenerate
+        assert [c.rejections for c in result.cells] == want.ravel().tolist()
+        assert result.degenerate_replicates == want_degenerate
+
+    def test_histogram_path_byte_equal_across_worker_counts(self):
+        cfg = config(q1=0.01, reps=3 * _BLOCK + 11, seed=21, tests=ALL_TESTS, deltas=(0.0, 0.4),
+                     alphas=(1e-2, 1e-3))
+        (r_lo, r_hi), (s_lo, s_hi) = _make_sampler(cfg).supports()
+        assert (r_hi - r_lo + 1) * (s_hi - s_lo + 1) <= _BLOCK
+        outputs = [
+            dataclasses.replace(estimate_type1(cfg, workers=workers), wall_time_s=0.0).to_json()
+            for workers in (1, 2, 4)
+        ]
+        assert outputs[1:] == outputs[:1] * 2
+
+    def test_draw_outside_the_box_is_an_error(self, monkeypatch):
+        # At R = S = 1 a draw of 2 case alleles is common; a box that stops at 1 misses it.
+        cfg = config(q1=0.5, r=1, s=1, reps=1000)
+        monkeypatch.setattr(type(_make_sampler(cfg)), "supports", lambda self: ((0, 1), (0, 2)))
+        with pytest.raises(RuntimeError, match="outside its support box"):
+            estimate_type1(cfg)
 
 
 class TestEstimateType1:
