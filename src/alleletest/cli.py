@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage or validation problem, 2 I/O failure,
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 from typing import IO, Iterator
@@ -166,12 +167,19 @@ def _out_of_range(counts: np.ndarray) -> np.ndarray:
 
 
 def _use_config(ctx: click.Context, param: click.Parameter, value: str | None):
-    """Load per-command defaults from a JSON file (flags still win)."""
+    """Load per-command defaults from a JSON file (flags still win). Each key
+    must name an option, and each value is read as its flag's text, so
+    ``"seed": 1.9`` fails as ``--seed 1.9`` does (click would truncate it)."""
     if value:
         with open(value, "rt", encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise click.UsageError("config file must hold a JSON object")
+        names = sorted(p.name for p in ctx.command.params if p.expose_value)
+        for key in loaded:
+            if key not in names:
+                raise click.UsageError(f"config key {key!r} names no option; choose from {names}")
+        loaded = {key: item if item is None else str(item) for key, item in loaded.items()}
         ctx.default_map = {**loaded, **(ctx.default_map or {})}
     return value
 
@@ -503,14 +511,14 @@ def simulate_cmd(p1, pen, q1, delta, r, s, pi_hat, reps, seed, mode, alphas, del
         result = sim_mod.estimate_type1(config, workers=workers)
     else:
         result = sim_mod.estimate_power(config, workers=workers)
-    if out_json:
-        with open(out_json, "wt", encoding="utf-8") as fh:
-            fh.write(result.to_json() + "\n")
-    else:
-        click.echo(result.to_json())
-    if out_tsv:
-        with open(out_tsv, "wt", encoding="utf-8") as fh:
-            fh.write(result.to_tsv())
+    with contextlib.ExitStack() as stack:  # open every output before writing any
+        json_out, tsv_out = [
+            stack.enter_context(open(path, "wt", encoding="utf-8")) if path else None
+            for path in (out_json, out_tsv)
+        ]
+        (json_out or sys.stdout).write(result.to_json() + "\n")
+        if tsv_out:
+            tsv_out.write(result.to_tsv())
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,17 +18,18 @@ Reproducibility contract: replications are processed in fixed-size blocks,
 each with its own counter-based random stream keyed by ``(seed, block)``.
 The draws of replication ``i`` therefore depend only on ``(seed, i)``, and
 results are bit-identical no matter how many workers process the blocks;
-aggregation uses integer counters, which are order-insensitive. Allele-mode
-counts are numpy's ``Generator.binomial`` draws on that stream, replayed by
-table lookup where numpy inverts (``_binomial.BinomialDraw``).
+aggregation uses integer counters, which are order-insensitive. One draw
+object per group (``_binomial.BinomialDraw``, numpy's ``Generator.binomial``
+replayed by table lookup where numpy inverts, or ``_GenotypeDraw``) declares
+its ``support`` up front, and ``_draw_block`` draws each block with them.
 
 Every statistic is a function of the table ``(r1, s1)`` alone, so the tally
 evaluates each distinct table once, at every weight in one kernel call, and
-weights its rejections by the number of replicates that drew it. Where every
-table the run can draw fits in a box of at most one block's cells (rare-marker
-and small designs), each block counts its tables in a histogram over that box
-and the statistics run once per run, on the run's distinct tables; otherwise
-they run once per block, on the block's.
+weights its rejections by the number of replicates that drew it. Tables are
+keyed by their cell in the box of the two supports, row-major. Where the box
+has at most one block's cells (rare-marker and small designs), each block
+counts its tables in a histogram over it and the statistics run once per
+run; otherwise they run once per block, on the block's distinct tables.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import math
 import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -134,7 +135,8 @@ class SimConfig:
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications!r}")
         r, s = self.design.r_cases, self.design.s_controls
-        # The block tally keys each table by r1 * (2S + 1) + s1 in int64.
+        # The tally keys each table by its cell in the box of the two supports
+        # in int64; (2R + 1) * (2S + 1) bounds that key.
         if 2 * max(r, s) > MAX_ALLELE_TOTAL or (2 * r + 1) * (2 * s + 1) > np.iinfo(np.int64).max:
             raise ValueError(
                 f"design R={r}, S={s} is too large to simulate: 2R and 2S may not "
@@ -289,63 +291,37 @@ def genotype_distributions(
     return GenotypeDistributions(case=case / pi, control=ctrl / (1.0 - pi))
 
 
-@dataclass(frozen=True)
-class _Sampler:
-    """Precomputed sampling law shared by all blocks of one run."""
+class _GenotypeDraw:
+    """One group's M1 allele counts, ``people`` drawn from the genotype law
+    ``probs`` (0, 1 or 2 copies); the interface of ``BinomialDraw``."""
 
-    mode: str
-    r_alleles: int
-    s_alleles: int
-    r_cases: int
-    s_controls: int
-    q1_case: float
-    q1_ctrl: float
-    case_probs: np.ndarray | None
-    ctrl_probs: np.ndarray | None
-    # Allele-mode draws, built from the fields above (``replace`` rebuilds them).
-    case_draw: BinomialDraw | None = field(default=None, init=False, repr=False, compare=False)
-    ctrl_draw: BinomialDraw | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, people: int, probs: np.ndarray) -> None:
+        self.people = people
+        self.probs = probs
+        self.support = (0, 2 * people)
 
-    def __post_init__(self) -> None:
-        if self.mode == "allele":
-            object.__setattr__(self, "case_draw", BinomialDraw(self.r_alleles, self.q1_case))
-            object.__setattr__(self, "ctrl_draw", BinomialDraw(self.s_alleles, self.q1_ctrl))
-
-    def supports(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The ``(lowest, highest)`` counts ``draw`` can return, cases then controls."""
-        if self.mode == "allele":
-            return self.case_draw.support, self.ctrl_draw.support
-        return (0, self.r_alleles), (0, self.s_alleles)
-
-    def draw(self, gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if self.mode == "allele":
-            r1 = self.case_draw(gen, n)
-            s1 = self.ctrl_draw(gen, n)
-        else:
-            cg = gen.multinomial(self.r_cases, self.case_probs, size=n)
-            sg = gen.multinomial(self.s_controls, self.ctrl_probs, size=n)
-            r1 = cg[:, 1] + 2 * cg[:, 2]
-            s1 = sg[:, 1] + 2 * sg[:, 2]
-        return r1, s1
+    def __call__(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        copies = gen.multinomial(self.people, self.probs, size=size)
+        return copies[:, 1] + 2 * copies[:, 2]
 
 
-def _make_sampler(config: SimConfig) -> _Sampler:
-    q1_case, q1_ctrl = marker_conditional_freqs(config.model, config.marker)
-    case_probs = ctrl_probs = None
+def _make_draws(config: SimConfig) -> tuple:
+    """The case and control draws of one run, shared read-only by all blocks."""
+    r, s = config.design.r_cases, config.design.s_controls
     if config.mode == "genotype":
         dists = genotype_distributions(config.model, config.marker)
-        case_probs, ctrl_probs = dists.case, dists.control
-    return _Sampler(
-        mode=config.mode,
-        r_alleles=2 * config.design.r_cases,
-        s_alleles=2 * config.design.s_controls,
-        r_cases=config.design.r_cases,
-        s_controls=config.design.s_controls,
-        q1_case=q1_case,
-        q1_ctrl=q1_ctrl,
-        case_probs=case_probs,
-        ctrl_probs=ctrl_probs,
-    )
+        return _GenotypeDraw(r, dists.case), _GenotypeDraw(s, dists.control)
+    q1_case, q1_ctrl = marker_conditional_freqs(config.model, config.marker)
+    return BinomialDraw(2 * r, q1_case), BinomialDraw(2 * s, q1_ctrl)
+
+
+def _draw_block(
+    config: SimConfig, draws: tuple, block: int, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The M1 counts ``(r1, s1)`` of one block: cases, then controls, on its stream."""
+    gen = _stream(config.seed, block)
+    case, control = draws
+    return case(gen, size), control(gen, size)
 
 
 def _labels(config: SimConfig) -> list[tuple[str, float | None]]:
@@ -374,19 +350,22 @@ def _map_blocks(fn, blocks, workers: int) -> Iterator:
 
 def _tally_tables(
     config: SimConfig,
-    sampler: _Sampler,
     labels: list[tuple[str, float | None]],
     z_values: np.ndarray,
-    r1: np.ndarray,
-    s1: np.ndarray,
+    corner: tuple[int, int],
+    width: int,
+    cells: np.ndarray,
     counts: np.ndarray,
 ) -> tuple[np.ndarray, int]:
     """Rejections per (label, level) and degenerate replicates of the distinct
-    tables ``(r1, s1)``, drawn ``counts`` times: each table is evaluated once,
-    as a row, at the weight column ``(pi_hat, *delta_weights)``."""
+    tables keyed ``cells``, row-major over a support box ``width`` cells wide
+    whose first cell is the table ``corner``, drawn ``counts`` times: each table
+    is evaluated once, as a row, at the weight column ``(pi_hat, *delta_weights)``."""
+    r1, s1 = np.divmod(cells[None, :], width)
     weights = (config.pi_hat, *config.delta_weights)
     arrays = statistic_arrays(
-        r1[None, :], sampler.r_alleles, s1[None, :], sampler.s_alleles, np.array(weights)[:, None]
+        r1 + corner[0], 2 * config.design.r_cases, s1 + corner[1], 2 * config.design.s_controls,
+        np.array(weights)[:, None],
     )
     stats = np.stack([  # W_delta and W_cor_delta are the W and W_cor rows of their weight
         getattr(arrays, test.lower().removesuffix("_delta"))[0 if dw is None else weights.index(dw)]
@@ -397,41 +376,29 @@ def _tally_tables(
     return np.einsum("tak,k->ta", rejected, counts), int(counts @ arrays.degenerate[0])
 
 
-def _tally_block(
-    config: SimConfig,
-    sampler: _Sampler,
-    labels: list[tuple[str, float | None]],
-    z_values: np.ndarray,
-    block: int,
-    size: int,
-) -> tuple[np.ndarray, int]:
-    """Draw one block and tally its distinct tables."""
-    r1, s1 = sampler.draw(_stream(config.seed, block), size)
-    stride = sampler.s_alleles + 1
-    cells, counts = np.unique(r1 * stride + s1, return_counts=True)
-    r1, s1 = np.divmod(cells, stride)
-    return _tally_tables(config, sampler, labels, z_values, r1, s1, counts)
-
-
 def _run(config: SimConfig, kind: str, workers: int) -> SimResult:
     start = time.perf_counter()
-    sampler = _make_sampler(config)
+    draws = _make_draws(config)
     labels = _labels(config)
     z_values = np.array([two_sided_critical_value(a) for a in config.alphas])
     blocks = _blocks(config.replications)
-    (r_lo, r_hi), (s_lo, s_hi) = sampler.supports()
+    (r_lo, r_hi), (s_lo, s_hi) = (draw.support for draw in draws)
     width = s_hi - s_lo + 1
     box = (r_hi - r_lo + 1) * width
+
+    def keys(block: int, size: int) -> np.ndarray:
+        """Draw one block and key each table by its cell in the support box, row-major."""
+        r1, s1 = _draw_block(config, draws, block, size)
+        r1 *= width  # the key (r1 - r_lo) * width + (s1 - s_lo), in place
+        r1 += s1
+        r1 -= r_lo * width + s_lo
+        return r1
+
     if box <= _BLOCK:
         # Every table the run can draw has a cell in a box no larger than a
         # block: count the run's tables, then evaluate each distinct one once.
         def count_tables(block: int, _: int, size: int) -> np.ndarray:
-            """Draw one block and count its tables over the box, row-major."""
-            r1, s1 = sampler.draw(_stream(config.seed, block), size)
-            r1 *= width  # the key (r1 - r_lo) * width + (s1 - s_lo), in place
-            r1 += s1
-            r1 -= r_lo * width + s_lo
-            block_hist = np.bincount(r1, minlength=box)
+            block_hist = np.bincount(keys(block, size), minlength=box)
             if block_hist.size > box:
                 raise RuntimeError(f"block {block} drew a table outside its support box")
             return block_hist
@@ -440,20 +407,22 @@ def _run(config: SimConfig, kind: str, workers: int) -> SimResult:
         for block_hist in _map_blocks(count_tables, blocks, workers):
             hist += block_hist
         drawn = np.flatnonzero(hist)
-        r1, s1 = np.divmod(drawn, width)
-        total, degenerate = _tally_tables(
-            config, sampler, labels, z_values, r1 + r_lo, s1 + s_lo, hist[drawn]
-        )
+        tallies = [_tally_tables(config, labels, z_values, (r_lo, s_lo), width, drawn, hist[drawn])]
     else:
-        total = np.zeros((len(labels), len(z_values)), dtype=np.int64)
-        degenerate = 0
-        for rej, ndeg in _map_blocks(
-            lambda b, _, size: _tally_block(config, sampler, labels, z_values, b, size),
-            blocks,
-            workers,
-        ):
-            total += rej
-            degenerate += ndeg
+        # A box this large (R = S = 1e5 has 4e10 cells) is not counted whole:
+        # each block evaluates its own distinct tables.
+        def tally_block(block: int, _: int, size: int) -> tuple[np.ndarray, int]:
+            cells, counts = np.unique(keys(block, size), return_counts=True)
+            if cells[0] < 0 or cells[-1] >= box:
+                raise RuntimeError(f"block {block} drew a table outside its support box")
+            return _tally_tables(config, labels, z_values, (r_lo, s_lo), width, cells, counts)
+
+        tallies = _map_blocks(tally_block, blocks, workers)
+    total = np.zeros((len(labels), len(z_values)), dtype=np.int64)
+    degenerate = 0
+    for rej, ndeg in tallies:
+        total += rej
+        degenerate += ndeg
     cells = []
     n = config.replications
     for i, (test, dw) in enumerate(labels):
@@ -525,7 +494,8 @@ def null_distribution_sample(config: SimConfig, workers: int = 1) -> NullSample:
         raise SimulationConfigError(
             f"null sampling requires delta=0, got {config.marker.delta!r}"
         )
-    sampler = _make_sampler(config)
+    draws = _make_draws(config)
+    n1, n0 = 2 * config.design.r_cases, 2 * config.design.s_controls
     n = config.replications
     t = np.empty(n)
     w = np.empty(n)
@@ -534,8 +504,8 @@ def null_distribution_sample(config: SimConfig, workers: int = 1) -> NullSample:
     deg = np.empty(n, dtype=bool)
 
     def fill(block: int, start: int, size: int) -> None:
-        r1, s1 = sampler.draw(_stream(config.seed, block), size)
-        arrays = statistic_arrays(r1, sampler.r_alleles, s1, sampler.s_alleles, config.pi_hat)
+        r1, s1 = _draw_block(config, draws, block, size)
+        arrays = statistic_arrays(r1, n1, s1, n0, config.pi_hat)
         sl = slice(start, start + size)
         t[sl] = arrays.t
         w[sl] = arrays.w

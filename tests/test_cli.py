@@ -627,6 +627,16 @@ class TestSimulateCommand:
         header = out_tsv.read_text().split("\n")[0]
         assert header == "test\talpha\tfraction\tse\treplications"
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_unopenable_output_leaves_no_result(self, to_file, tmp_path, capsys):
+        # Every output opens before any is written, so the JSON result goes nowhere.
+        out_json = tmp_path / "r.json"
+        extra = ["--out-json", str(out_json)] if to_file else []
+        code = main(self.BASE + extra + ["--out-tsv", str(tmp_path / "missing" / "r.tsv")])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert not to_file or out_json.read_text() == ""
+
     def test_delta_weights_expand_tests(self, capsys):
         assert main(self.BASE + ["--deltas", "0.3,0.4"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -895,6 +905,42 @@ class TestConfigFile:
         code = main(["model", "--config", str(cfg), "--q1", "0.25"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["q1"] == 0.25
+
+    SIMULATE = {"p1": 0.10, "pen": "0.60,0.35,0.10", "q1": 0.10, "r": 50, "s": 50,
+                "pi_hat": 0.15, "reps": 2000, "seed": 1}
+
+    @pytest.mark.parametrize("key,value", [("seed", 1.9), ("r", 50.9), ("s", True)])
+    def test_value_is_read_as_its_flag_text(self, key, value, tmp_path, capsys):
+        # click would truncate 1.9 to seed 1 and read true as S = 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.SIMULATE, key: value}))
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"--{key}" in captured.err
+        flags = [text for k, v in {**self.SIMULATE, key: value}.items()
+                 for text in (f"--{k.replace('_', '-')}", str(v))]
+        assert main(["simulate", *flags]) == 1
+
+    def test_bool_float_and_choice_values_apply(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.SIMULATE, "delta": 0.3, "type1": False,
+                                   "alphas": 0.01, "workers": 2, "mode": "genotype"}))
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["kind"], payload["mode"], payload["seed"]) == ("power", "genotype", 1)
+        assert [c["alpha"] for c in payload["cells"]] == [0.01] * 4
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [({"ci_levl": 0.9}, "'ci_levl' names no option"), ({"ci_level": [0.9]}, "--ci-level")],
+    )
+    def test_unknown_key_or_non_scalar_rejected(self, entry, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pi_hat": 0.1, **entry}))
+        code = main(["scan", "--config", str(cfg), "--counts", str(tmp_path / "m.tsv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
 
 class TestExitCodes:

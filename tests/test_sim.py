@@ -11,6 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from alleletest import sim
+from alleletest._binomial import BinomialDraw
 from alleletest.model import (
     DegeneratePrevalenceError,
     DesignConstants,
@@ -24,10 +26,10 @@ from alleletest.sim import (
     SimConfig,
     SimulationConfigError,
     _blocks,
+    _draw_block,
     _labels,
-    _make_sampler,
+    _make_draws,
     _stream,
-    _tally_block,
     estimate_power,
     estimate_type1,
     genotype_distributions,
@@ -75,43 +77,50 @@ def config(q1=0.10, delta=0.0, r=500, s=500, reps=100_000, alphas=(1e-3,), seed=
     )
 
 
+def draw(cfg, size):
+    """Block 0 of a run of ``cfg``: its case and control M1 counts."""
+    return _draw_block(cfg, _make_draws(cfg), 0, size)
+
+
 @pytest.fixture(scope="module")
 def million_run_500_q10():
     return estimate_type1(config(reps=1_000_000, seed=31))
 
 
 class TestDrawCounts:
-    """The one sampling law, ``_Sampler.draw``, on block 0 of a stream."""
+    """The draw objects of both groups, as ``_draw_block`` runs them on a block."""
 
     def test_zero_frequency_forces_zero_count(self):
-        sampler = dataclasses.replace(_make_sampler(config(r=50, s=50)), q1_case=0.0)
-        r1, s1 = sampler.draw(_stream(0, 0), 20)
+        cfg = config(r=50, s=50, seed=0)
+        _, control = _make_draws(cfg)
+        r1, s1 = _draw_block(cfg, (BinomialDraw(100, 0.0), control), 0, 20)
         assert (r1 == 0).all() and (s1 > 0).any()
 
     def test_allele_draws_are_numpy_binomial_streams(self):
-        base = _make_sampler(config(q1=0.01, r=500, s=400))
+        base = _make_draws(config(q1=0.01, r=500, s=400))
+        assert [(d.n, d.p) for d in base] == [(1000, 0.01), (800, 0.01)]
         # p * n <= 30 on both sides (inverted, the control one from 1 - p), and BTPE.
-        for sampler in (base, dataclasses.replace(base, q1_case=0.02, q1_ctrl=0.97),
-                        dataclasses.replace(base, q1_case=0.3)):
+        for case, control in (base, (BinomialDraw(1000, 0.02), BinomialDraw(800, 0.97)),
+                              (BinomialDraw(1000, 0.3), base[1])):
             gen, twin = _stream(9, 4), _stream(9, 4)
-            r1, s1 = sampler.draw(gen, 5000)
-            np.testing.assert_array_equal(r1, twin.binomial(sampler.r_alleles, sampler.q1_case, 5000))
-            np.testing.assert_array_equal(s1, twin.binomial(sampler.s_alleles, sampler.q1_ctrl, 5000))
+            r1, s1 = case(gen, 5000), control(gen, 5000)
+            np.testing.assert_array_equal(r1, twin.binomial(case.n, case.p, 5000))
+            np.testing.assert_array_equal(s1, twin.binomial(control.n, control.p, 5000))
             assert gen.random() == twin.random()
 
     def test_mean_matches_binomial_moments(self):
         # delta 0.3 puts the case M1 frequency at 0.145
         n = 100_000
-        r1, _ = _make_sampler(config(delta=0.3, r=100, s=100)).draw(_stream(42, 0), n)
+        r1, _ = draw(config(delta=0.3, r=100, s=100, seed=42), n)
         expected = 200 * 0.145
         se = math.sqrt(200 * 0.145 * 0.855)
         assert abs(r1.mean() - expected) < 4 * se / math.sqrt(n)
 
     def test_fixed_seed_reproduces(self):
         for mode in ("allele", "genotype"):
-            sampler = _make_sampler(config(delta=0.3, r=300, s=400, mode=mode))
-            a = sampler.draw(_stream(7, 0), 1000)
-            b = sampler.draw(_stream(7, 0), 1000)
+            cfg = config(delta=0.3, r=300, s=400, mode=mode, seed=7)
+            a = draw(cfg, 1000)
+            b = draw(cfg, 1000)
             np.testing.assert_array_equal(a[0], b[0])
             np.testing.assert_array_equal(a[1], b[1])
 
@@ -155,9 +164,8 @@ class TestGenotypeDistributions:
                 genotype_distributions(everyone, NULL_MARKER_10)
 
     def test_genotype_draw_expectation(self):
-        sampler = _make_sampler(config(delta=0.3, r=100, s=100, mode="genotype"))
         n = 50_000
-        r1, _ = sampler.draw(_stream(3, 0), n)
+        r1, _ = draw(config(delta=0.3, r=100, s=100, mode="genotype", seed=3), n)
         expected = 200 * 0.145
         # within-individual allele dependence inflates Var(r1) at most 2x
         se_mean = math.sqrt(2 * 200 * 0.145 * 0.855 / n)
@@ -206,14 +214,15 @@ class TestVectorizedAgainstScalar:
                     )
 
 
-def reference_tally(config, sampler, labels, z_values, block, size):
+def reference_tally(config, labels, z_values, block, size):
     """Per-replicate block tally: every draw through the kernel, counted one by one."""
-    r1, s1 = sampler.draw(_stream(config.seed, block), size)
+    r1, s1 = _draw_block(config, _make_draws(config), block, size)
+    n1, n0 = 2 * config.design.r_cases, 2 * config.design.s_controls
     rejections = np.zeros((len(labels), len(z_values)), dtype=np.int64)
     for i, (test, dw) in enumerate(labels):
         # W_delta and W_cor_delta are W and W_cor at their weight
         weight = config.pi_hat if dw is None else dw
-        arrays = statistic_arrays(r1, sampler.r_alleles, s1, sampler.s_alleles, weight)
+        arrays = statistic_arrays(r1, n1, s1, n0, weight)
         magnitude = np.abs(getattr(arrays, test.lower().removesuffix("_delta")))
         for j, z in enumerate(z_values):
             # NaN (degenerate) never rejects.
@@ -222,7 +231,8 @@ def reference_tally(config, sampler, labels, z_values, block, size):
 
 
 class TestCellTally:
-    """The tally over distinct tables equals the per-replicate tally bit for bit."""
+    """A one-block run's tally over distinct tables equals the per-replicate
+    tally bit for bit, on either side of the support-box rule."""
 
     SIZES = (1, 5, 50, 500, 5000, 100_000)
 
@@ -234,28 +244,26 @@ class TestCellTally:
         r=st.sampled_from(SIZES),
         s=st.sampled_from(SIZES),
         size=st.integers(1, 4096),
-        block=st.integers(0, 3),
+        seed=st.integers(17, 20),
         alphas=st.lists(st.sampled_from([1.0, 0.5, 0.05, 1e-3, 1e-6]), unique=True,
                         min_size=1, max_size=3),
     )
     @example(mode="allele", weights=[0.0, 1.0], q1=0.5,
-             r=100_000, s=100_000, size=_BLOCK, block=0, alphas=[0.5, 1e-3])
+             r=100_000, s=100_000, size=_BLOCK, seed=17, alphas=[0.5, 1e-3])
     @example(mode="genotype", weights=[0.0, 0.4, 1.0], q1=0.002,
-             r=50, s=50, size=20_000, block=1, alphas=[1.0, 0.05])
+             r=50, s=50, size=20_000, seed=18, alphas=[1.0, 0.05])
     @example(mode="allele", weights=[1.0], q1=0.01,
-             r=1, s=100_000, size=_BLOCK - 17, block=2, alphas=[1.0, 1e-3])
-    def test_matches_reference_tally(self, mode, weights, q1, r, s, size, block, alphas):
+             r=1, s=100_000, size=_BLOCK - 17, seed=19, alphas=[1.0, 1e-3])
+    def test_matches_reference_tally(self, mode, weights, q1, r, s, size, seed, alphas):
         tests = ("T", "W", "W_cor", "U") + (("W_delta", "W_cor_delta") if weights else ())
         cfg = config(q1=q1, r=r, s=s, reps=size, alphas=alphas, tests=tests, deltas=weights,
-                     mode=mode, seed=block + 17)
-        sampler = _make_sampler(cfg)
+                     mode=mode, seed=seed)
         labels = _labels(cfg)
         z_values = np.array([two_sided_critical_value(a) for a in cfg.alphas])
-        got, got_degenerate = _tally_block(cfg, sampler, labels, z_values, block, size)
-        want, want_degenerate = reference_tally(cfg, sampler, labels, z_values, block, size)
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-        assert got_degenerate == want_degenerate
+        result = estimate_type1(cfg)
+        want, want_degenerate = reference_tally(cfg, labels, z_values, 0, size)
+        assert [c.rejections for c in result.cells] == want.ravel().tolist()
+        assert result.degenerate_replicates == want_degenerate
 
 
 class TestRunTally:
@@ -297,13 +305,12 @@ class TestRunTally:
         cfg = config(q1=q1, delta=delta, r=r, s=s, reps=reps, alphas=(0.05, 1e-3), tests=tests,
                      deltas=weights, mode=mode, seed=seed)
         result = (estimate_power if power else estimate_type1)(cfg)
-        sampler = _make_sampler(cfg)
         labels = _labels(cfg)
         z_values = np.array([two_sided_critical_value(a) for a in cfg.alphas])
         want = np.zeros((len(labels), len(z_values)), dtype=np.int64)
         want_degenerate = 0
         for block, _, size in _blocks(reps):
-            rejections, degenerate = reference_tally(cfg, sampler, labels, z_values, block, size)
+            rejections, degenerate = reference_tally(cfg, labels, z_values, block, size)
             want += rejections
             want_degenerate += degenerate
         assert [c.rejections for c in result.cells] == want.ravel().tolist()
@@ -312,7 +319,7 @@ class TestRunTally:
     def test_histogram_path_byte_equal_across_worker_counts(self):
         cfg = config(q1=0.01, reps=3 * _BLOCK + 11, seed=21, tests=ALL_TESTS, deltas=(0.0, 0.4),
                      alphas=(1e-2, 1e-3))
-        (r_lo, r_hi), (s_lo, s_hi) = _make_sampler(cfg).supports()
+        (r_lo, r_hi), (s_lo, s_hi) = (d.support for d in _make_draws(cfg))
         assert (r_hi - r_lo + 1) * (s_hi - s_lo + 1) <= _BLOCK
         outputs = [
             dataclasses.replace(estimate_type1(cfg, workers=workers), wall_time_s=0.0).to_json()
@@ -321,11 +328,46 @@ class TestRunTally:
         assert outputs[1:] == outputs[:1] * 2
 
     def test_draw_outside_the_box_is_an_error(self, monkeypatch):
-        # At R = S = 1 a draw of 2 case alleles is common; a box that stops at 1 misses it.
-        cfg = config(q1=0.5, r=1, s=1, reps=1000)
-        monkeypatch.setattr(type(_make_sampler(cfg)), "supports", lambda self: ((0, 1), (0, 2)))
-        with pytest.raises(RuntimeError, match="outside its support box"):
-            estimate_type1(cfg)
+        # At R = S = 1 a draw of 2 case alleles is common; a box that stops at 1
+        # misses it (a histogram run). At R = S = 1e5 the box is past a block, and
+        # a case side that stops at half its 2e5 alleles misses half the draws.
+        for r, top in ((1, 1), (100_000, 100_000)):
+            cfg = config(q1=0.5, r=r, s=r, reps=1000)
+            case, control = _make_draws(cfg)
+            case.support = (0, top)
+            monkeypatch.setattr(sim, "_make_draws", lambda config: (case, control))
+            with pytest.raises(RuntimeError, match="outside its support box"):
+                estimate_type1(cfg)
+
+
+class TestDrawSeam:
+    """Every block of every run is drawn by ``sim._draw_block``, the one place a
+    tracer can wrap to time the draw, and the run uses what it returns."""
+
+    def test_every_block_goes_through_draw_block(self, monkeypatch):
+        seen = []
+
+        def no_minor_alleles(config, draws, block, size):
+            seen.append((block, size))
+            return np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
+
+        monkeypatch.setattr(sim, "_draw_block", no_minor_alleles)
+        reps = 2 * _BLOCK + 5
+        # q1 = 0.01 at R = S = 500 has a 44 x 44 support box (a histogram run);
+        # q1 = 0.1 draws by BTPE, whose 1001 x 1001 box is tallied per block.
+        for q1, box_fits in ((0.01, True), (0.1, False)):
+            cfg = config(q1=q1, reps=reps)
+            (r_lo, r_hi), (s_lo, s_hi) = (d.support for d in _make_draws(cfg))
+            assert ((r_hi - r_lo + 1) * (s_hi - s_lo + 1) <= _BLOCK) == box_fits
+            seen.clear()
+            result = estimate_type1(cfg, workers=2)
+            assert sorted(seen) == [(b, size) for b, _, size in _blocks(reps)]
+            assert result.degenerate_replicates == reps
+            assert all(c.rejections == 0 for c in result.cells)
+        seen.clear()
+        sample = null_distribution_sample(config(q1=0.1, reps=reps), workers=2)
+        assert sorted(seen) == [(b, size) for b, _, size in _blocks(reps)]
+        assert sample.degenerate.all()
 
 
 class TestEstimateType1:
@@ -429,7 +471,7 @@ class TestModeConsistency:
         se_mean = math.sqrt(2 * 2 * 500 * 0.145 * 0.855 / 50_000)
         for mode in ("allele", "genotype"):
             cfg = config(delta=0.3, reps=50_000, mode=mode, seed=8, alphas=(0.5,))
-            r1, _ = _make_sampler(cfg).draw(_stream(cfg.seed, 0), 50_000)
+            r1, _ = draw(cfg, 50_000)
             assert abs(r1.mean() - expected) < 5 * se_mean
 
 
