@@ -10,10 +10,6 @@ step at each cumulative ``px``. ``BinomialDraw`` tabulates that function over
 and looks each count up; a bin that a step crosses is settled by numpy's own
 loop. Draws and stream position equal ``Generator.binomial``'s bit for bit.
 Outside the inversion regime, and on numpy's rare restart, numpy draws.
-
-Each draw declares its ``support``, the counts it can return, before any draw:
-numpy's inversion never counts past its ``bound``, so that is ``[0, bound]``
-(``[n - bound, n]`` on the flipped side), and BTPE may return any count.
 """
 
 from __future__ import annotations
@@ -36,18 +32,15 @@ class BinomialDraw:
     """``gen.binomial(n, p, size)`` for one fixed ``(n, p)``, bit for bit.
 
     Built once per run from ``n`` and ``p``; shared read-only by threads.
-    ``support`` is ``(lowest, highest)``, the range every draw lies in.
     """
 
     def __init__(self, n: int, p: float) -> None:
         self.n = n
         self.p = p
         self._table = None  # None: every draw is numpy's
-        self.support = (0, n)  # BTPE's
         # numpy's regime split, in its own floating-point order; n == 0 and
         # p == 0 draw 0 without a uniform, and NaN reaches numpy's check.
         if n == 0 or p == 0.0:
-            self.support = (0, 0)
             return
         if p <= 0.5 and p * n <= _INVERSION_MAX_MEAN:
             self._flip, pi = False, p
@@ -58,7 +51,6 @@ class BinomialDraw:
         q = 1.0 - pi
         mean = n * pi
         self._bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-        self.support = (n - self._bound, n) if self._flip else (0, self._bound)
         px = [math.exp(n * math.log(q))]
         for x in range(1, self._bound + 1):
             px.append(((n - x + 1) * pi * px[-1]) / (x * q))

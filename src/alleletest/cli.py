@@ -305,17 +305,17 @@ def _scan_blocks(
 
 
 @cli.command("scan")
-@click.option("--counts", "counts_path", required=True, type=click.Path(), help="Input marker counts table.")
+@click.option("--counts", required=True, type=click.Path(), help="Input marker counts table.")
 @click.option("--pi-hat", type=float, required=True, help="External disease prevalence estimate (required for W and U).")
 @click.option("--out", default="-", show_default=True, help="Output TSV path, or - for stdout.")
 @click.option("--ci-level", type=float, default=0.95, show_default=True, help="Effect-ratio confidence level.")
 @click.option("--direction", type=click.Choice(CORRECTION_DIRECTIONS), default="toward_zero", show_default=True, help="Continuity-correction direction for W_cor.")
 @click.option("--warn-locality/--no-warn-locality", default=True, show_default=True, help="Print the local-ranking reminder to stderr.")
 @_config_option
-def scan_cmd(counts_path, pi_hat, out, ci_level, direction, warn_locality):
+def scan_cmd(counts, pi_hat, out, ci_level, direction, warn_locality):
     """Scan a counts table: one row of statistics and p-values per marker."""
-    ids, counts = parse_counts_file(counts_path)
-    blocks = _scan_blocks(ids, counts, pi_hat, ci_level, direction)
+    ids, table = parse_counts_file(counts)
+    blocks = _scan_blocks(ids, table, pi_hat, ci_level, direction)
     header = next(blocks)  # checks the arguments before the output is opened
     handle = _open_out(out)
     try:

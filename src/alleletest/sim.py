@@ -20,16 +20,17 @@ The draws of replication ``i`` therefore depend only on ``(seed, i)``, and
 results are bit-identical no matter how many workers process the blocks;
 aggregation uses integer counters, which are order-insensitive. One draw
 object per group (``_binomial.BinomialDraw``, numpy's ``Generator.binomial``
-replayed by table lookup where numpy inverts, or ``_GenotypeDraw``) declares
-its ``support`` up front, and ``_draw_block`` draws each block with them.
+replayed by table lookup where numpy inverts, or ``_GenotypeDraw``) gives
+its counts, and ``_draw_block`` draws each block with them.
 
 Every statistic is a function of the table ``(r1, s1)`` alone, so the tally
 evaluates each distinct table once, at every weight in one kernel call, and
 weights its rejections by the number of replicates that drew it. Tables are
-keyed by their cell in the box of the two supports, row-major. Where the box
-has at most one block's cells (rare-marker and small designs), each block
-counts its tables in a histogram over it and the statistics run once per
-run; otherwise they run once per block, on the block's distinct tables.
+keyed ``r1 * (2S + 1) + s1``. Each block counts its distinct tables, in a
+histogram over the box its draws fill where that box has at most one block's
+cells, else by sorting. The run pools the blocks' counts and runs the
+statistics once per block's worth of pooled tables, so once per run for
+rare-marker and small designs.
 """
 
 from __future__ import annotations
@@ -135,8 +136,8 @@ class SimConfig:
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications!r}")
         r, s = self.design.r_cases, self.design.s_controls
-        # The tally keys each table by its cell in the box of the two supports
-        # in int64; (2R + 1) * (2S + 1) bounds that key.
+        # The tally keys each table r1 * (2S + 1) + s1 in int64, which is
+        # below (2R + 1) * (2S + 1).
         if 2 * max(r, s) > MAX_ALLELE_TOTAL or (2 * r + 1) * (2 * s + 1) > np.iinfo(np.int64).max:
             raise ValueError(
                 f"design R={r}, S={s} is too large to simulate: 2R and 2S may not "
@@ -298,7 +299,6 @@ class _GenotypeDraw:
     def __init__(self, people: int, probs: np.ndarray) -> None:
         self.people = people
         self.probs = probs
-        self.support = (0, 2 * people)
 
     def __call__(self, gen: np.random.Generator, size: int) -> np.ndarray:
         copies = gen.multinomial(self.people, self.probs, size=size)
@@ -348,23 +348,44 @@ def _map_blocks(fn, blocks, workers: int) -> Iterator:
         yield from pool.map(lambda blk: fn(*blk), blocks)
 
 
+def _count_tables(r1: np.ndarray, s1: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct tables of one block's counts ``(r1, s1)``, keyed ``r1 * width
+    + s1`` in ascending order, and how often each was drawn. Where the box the
+    draws fill has at most ``_BLOCK`` cells they are counted in a histogram over
+    it, else sorted. ``r1`` is overwritten."""
+    r_hi, s_hi = int(r1.max()), int(s1.max())
+    r_lo = s_lo = 0
+    if (r_hi + 1) * (s_hi + 1) > _BLOCK:  # else a box from 0 will do (rare markers)
+        r_lo, s_lo = int(r1.min()), int(s1.min())
+    box_width = s_hi - s_lo + 1
+    box = (r_hi - r_lo + 1) * box_width
+    if box > _BLOCK:
+        r1 *= width
+        r1 += s1
+        return np.unique(r1, return_counts=True)
+    r1 *= box_width  # the table's cell in the box, row-major, in place
+    r1 += s1
+    r1 -= r_lo * box_width + s_lo
+    hist = np.bincount(r1, minlength=box)
+    cells = np.flatnonzero(hist)
+    rows, cols = np.divmod(cells, box_width)
+    return (rows + r_lo) * width + cols + s_lo, hist[cells]
+
+
 def _tally_tables(
     config: SimConfig,
     labels: list[tuple[str, float | None]],
     z_values: np.ndarray,
-    corner: tuple[int, int],
-    width: int,
-    cells: np.ndarray,
+    keys: np.ndarray,
     counts: np.ndarray,
 ) -> tuple[np.ndarray, int]:
     """Rejections per (label, level) and degenerate replicates of the distinct
-    tables keyed ``cells``, row-major over a support box ``width`` cells wide
-    whose first cell is the table ``corner``, drawn ``counts`` times: each table
-    is evaluated once, as a row, at the weight column ``(pi_hat, *delta_weights)``."""
-    r1, s1 = np.divmod(cells[None, :], width)
+    tables keyed ``r1 * (2S + 1) + s1``, drawn ``counts`` times: each table is
+    evaluated once, as a row, at the weight column ``(pi_hat, *delta_weights)``."""
+    r1, s1 = np.divmod(keys[None, :], 2 * config.design.s_controls + 1)
     weights = (config.pi_hat, *config.delta_weights)
     arrays = statistic_arrays(
-        r1 + corner[0], 2 * config.design.r_cases, s1 + corner[1], 2 * config.design.s_controls,
+        r1, 2 * config.design.r_cases, s1, 2 * config.design.s_controls,
         np.array(weights)[:, None],
     )
     stats = np.stack([  # W_delta and W_cor_delta are the W and W_cor rows of their weight
@@ -381,48 +402,30 @@ def _run(config: SimConfig, kind: str, workers: int) -> SimResult:
     draws = _make_draws(config)
     labels = _labels(config)
     z_values = np.array([two_sided_critical_value(a) for a in config.alphas])
-    blocks = _blocks(config.replications)
-    (r_lo, r_hi), (s_lo, s_hi) = (draw.support for draw in draws)
-    width = s_hi - s_lo + 1
-    box = (r_hi - r_lo + 1) * width
+    width = 2 * config.design.s_controls + 1
+    last = (config.replications - 1) // _BLOCK
 
-    def keys(block: int, size: int) -> np.ndarray:
-        """Draw one block and key each table by its cell in the support box, row-major."""
-        r1, s1 = _draw_block(config, draws, block, size)
-        r1 *= width  # the key (r1 - r_lo) * width + (s1 - s_lo), in place
-        r1 += s1
-        r1 -= r_lo * width + s_lo
-        return r1
+    def count_tables(block: int, _: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+        return _count_tables(*_draw_block(config, draws, block, size), width)
 
-    if box <= _BLOCK:
-        # Every table the run can draw has a cell in a box no larger than a
-        # block: count the run's tables, then evaluate each distinct one once.
-        def count_tables(block: int, _: int, size: int) -> np.ndarray:
-            block_hist = np.bincount(keys(block, size), minlength=box)
-            if block_hist.size > box:
-                raise RuntimeError(f"block {block} drew a table outside its support box")
-            return block_hist
-
-        hist = np.zeros(box, dtype=np.int64)
-        for block_hist in _map_blocks(count_tables, blocks, workers):
-            hist += block_hist
-        drawn = np.flatnonzero(hist)
-        tallies = [_tally_tables(config, labels, z_values, (r_lo, s_lo), width, drawn, hist[drawn])]
-    else:
-        # A box this large (R = S = 1e5 has 4e10 cells) is not counted whole:
-        # each block evaluates its own distinct tables.
-        def tally_block(block: int, _: int, size: int) -> tuple[np.ndarray, int]:
-            cells, counts = np.unique(keys(block, size), return_counts=True)
-            if cells[0] < 0 or cells[-1] >= box:
-                raise RuntimeError(f"block {block} drew a table outside its support box")
-            return _tally_tables(config, labels, z_values, (r_lo, s_lo), width, cells, counts)
-
-        tallies = _map_blocks(tally_block, blocks, workers)
+    # The pool of the blocks' tables is tallied, each distinct table once, when it
+    # holds _BLOCK entries and after the last block; the int64 sums are exact.
     total = np.zeros((len(labels), len(z_values)), dtype=np.int64)
     degenerate = 0
-    for rej, ndeg in tallies:
-        total += rej
+    pool = []
+    tables = _map_blocks(count_tables, _blocks(config.replications), workers)
+    for block, (keys, counts) in enumerate(tables):
+        pool.append((keys, counts))
+        if block < last and sum(k.size for k, _ in pool) < _BLOCK:
+            continue
+        keys, counts = map(np.concatenate, zip(*pool))
+        keys, where = np.unique(keys, return_inverse=True)
+        sums = np.zeros(keys.size, dtype=np.int64)
+        np.add.at(sums, where, counts)
+        rejections, ndeg = _tally_tables(config, labels, z_values, keys, sums)
+        total += rejections
         degenerate += ndeg
+        pool = []
     cells = []
     n = config.replications
     for i, (test, dw) in enumerate(labels):

@@ -930,6 +930,15 @@ class TestConfigFile:
         assert (payload["kind"], payload["mode"], payload["seed"]) == ("power", "genotype", 1)
         assert [c["alpha"] for c in payload["cells"]] == [0.01] * 4
 
+    def test_every_key_is_a_long_option(self, tmp_path, counts_file, capsys):
+        # scan's --counts is the key "counts", as the --config help promises
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"counts": counts_file, "pi_hat": 0.1}))
+        assert main(["scan", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split("\t") == list(SCAN_COLUMNS)
+        assert [line.split("\t")[0] for line in lines[1:]] == ["rs1", "rs2", "rs3", "rs4"]
+
     @pytest.mark.parametrize(
         "entry,message",
         [({"ci_levl": 0.9}, "'ci_levl' names no option"), ({"ci_level": [0.9]}, "--ci-level")],

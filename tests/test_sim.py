@@ -232,7 +232,8 @@ def reference_tally(config, labels, z_values, block, size):
 
 class TestCellTally:
     """A one-block run's tally over distinct tables equals the per-replicate
-    tally bit for bit, on either side of the support-box rule."""
+    tally bit for bit, whether the block's tables are counted in a histogram
+    or sorted."""
 
     SIZES = (1, 5, 50, 500, 5000, 100_000)
 
@@ -267,8 +268,8 @@ class TestCellTally:
 
 
 class TestRunTally:
-    """A run's cells are the per-replicate block tallies summed, whether it counts
-    its tables in one histogram (support box within a block) or per block."""
+    """A run's cells are the per-replicate block tallies summed, however its
+    blocks count their tables and wherever the pool of tables is cut."""
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -281,10 +282,12 @@ class TestRunTally:
         power=st.booleans(),
         seed=st.integers(0, (1 << 64) - 1),
     )
-    # The benchmark's design, its flipped twin (whose box starts at n - bound),
-    # a rare marker at R = S = 1e5 and a small genotype design take the
-    # histogram; a common marker at R = S = 1e5, BTPE at R = S = 500 and the
-    # golden genotype design do not.
+    # The benchmark's design, its flipped twin (whose box starts far from 0),
+    # a rare marker at R = S = 1e5, a small genotype design, BTPE at R = S =
+    # 500, the golden genotype design and c02's design count each block in a
+    # histogram. Markers at q1 = 0.5 and 0.02 at R = S = 1e5 sort; at 0.02,
+    # each block draws ~38,800 distinct tables, so the pool is tallied after
+    # the second of three blocks and again after the last.
     @example(mode="allele", q1=0.01, r=500, s=500, reps=2 * _BLOCK + 3, weights=[0.0, 1.0],
              power=False, seed=1)
     @example(mode="allele", q1=0.99, r=500, s=400, reps=_BLOCK + 9, weights=[],
@@ -299,6 +302,10 @@ class TestRunTally:
              power=True, seed=5)
     @example(mode="genotype", q1=0.1, r=200, s=300, reps=_BLOCK + 2, weights=[0.0],
              power=True, seed=6)
+    @example(mode="allele", q1=0.25, r=2000, s=2000, reps=2 * _BLOCK + 1, weights=[0.4],
+             power=False, seed=8)
+    @example(mode="allele", q1=0.02, r=100_000, s=100_000, reps=3 * _BLOCK - 5, weights=[],
+             power=False, seed=9)
     def test_cells_are_block_tallies_summed(self, mode, q1, r, s, reps, weights, power, seed):
         tests = ("T", "W", "W_cor", "U") + (("W_delta", "W_cor_delta") if weights else ())
         delta = 0.5 * delta_bounds(ADDITIVE.p1, q1)[1] if power else 0.0
@@ -319,25 +326,28 @@ class TestRunTally:
     def test_histogram_path_byte_equal_across_worker_counts(self):
         cfg = config(q1=0.01, reps=3 * _BLOCK + 11, seed=21, tests=ALL_TESTS, deltas=(0.0, 0.4),
                      alphas=(1e-2, 1e-3))
-        (r_lo, r_hi), (s_lo, s_hi) = (d.support for d in _make_draws(cfg))
-        assert (r_hi - r_lo + 1) * (s_hi - s_lo + 1) <= _BLOCK
         outputs = [
             dataclasses.replace(estimate_type1(cfg, workers=workers), wall_time_s=0.0).to_json()
             for workers in (1, 2, 4)
         ]
         assert outputs[1:] == outputs[:1] * 2
 
-    def test_draw_outside_the_box_is_an_error(self, monkeypatch):
-        # At R = S = 1 a draw of 2 case alleles is common; a box that stops at 1
-        # misses it (a histogram run). At R = S = 1e5 the box is past a block, and
-        # a case side that stops at half its 2e5 alleles misses half the draws.
-        for r, top in ((1, 1), (100_000, 100_000)):
-            cfg = config(q1=0.5, r=r, s=r, reps=1000)
-            case, control = _make_draws(cfg)
-            case.support = (0, top)
-            monkeypatch.setattr(sim, "_make_draws", lambda config: (case, control))
-            with pytest.raises(RuntimeError, match="outside its support box"):
-                estimate_type1(cfg)
+    @pytest.mark.parametrize("q1, r, calls", [(0.01, 500, 1), (0.02, 100_000, 2)])
+    def test_pool_is_tallied_per_block_of_tables(self, q1, r, calls, monkeypatch):
+        # Three blocks of a rare marker at R = S = 500 draw ~450 distinct tables
+        # each, tallied once; at R = S = 1e5, q1 = 0.02 they draw ~38,800 each,
+        # so the pool passes _BLOCK entries after the second block.
+        sizes = []
+        tally = sim._tally_tables
+
+        def counted(config, labels, z_values, keys, counts):
+            sizes.append(counts.sum())
+            return tally(config, labels, z_values, keys, counts)
+
+        monkeypatch.setattr(sim, "_tally_tables", counted)
+        estimate_type1(config(q1=q1, r=r, s=r, reps=3 * _BLOCK - 5, seed=10))
+        assert len(sizes) == calls
+        assert sum(sizes) == 3 * _BLOCK - 5
 
 
 class TestDrawSeam:
@@ -353,17 +363,10 @@ class TestDrawSeam:
 
         monkeypatch.setattr(sim, "_draw_block", no_minor_alleles)
         reps = 2 * _BLOCK + 5
-        # q1 = 0.01 at R = S = 500 has a 44 x 44 support box (a histogram run);
-        # q1 = 0.1 draws by BTPE, whose 1001 x 1001 box is tallied per block.
-        for q1, box_fits in ((0.01, True), (0.1, False)):
-            cfg = config(q1=q1, reps=reps)
-            (r_lo, r_hi), (s_lo, s_hi) = (d.support for d in _make_draws(cfg))
-            assert ((r_hi - r_lo + 1) * (s_hi - s_lo + 1) <= _BLOCK) == box_fits
-            seen.clear()
-            result = estimate_type1(cfg, workers=2)
-            assert sorted(seen) == [(b, size) for b, _, size in _blocks(reps)]
-            assert result.degenerate_replicates == reps
-            assert all(c.rejections == 0 for c in result.cells)
+        result = estimate_type1(config(q1=0.01, reps=reps), workers=2)
+        assert sorted(seen) == [(b, size) for b, _, size in _blocks(reps)]
+        assert result.degenerate_replicates == reps
+        assert all(c.rejections == 0 for c in result.cells)
         seen.clear()
         sample = null_distribution_sample(config(q1=0.1, reps=reps), workers=2)
         assert sorted(seen) == [(b, size) for b, _, size in _blocks(reps)]
