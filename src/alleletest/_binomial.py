@@ -1,4 +1,4 @@
-"""numpy's binomial draws, replayed from the same uniforms through a table.
+"""numpy's binomial draws, replayed from the same Philox words through a table.
 
 Where ``n*p`` is at most 30, ``Generator.binomial(n, p)`` draws by sequential
 inversion (the inversion half of numpy's BTPE/inversion split; Kachitvichyanukul
@@ -6,10 +6,13 @@ inversion (the inversion half of numpy's BTPE/inversion split; Kachitvichyanukul
 ``next_double`` and subtracts ``px_0, px_1, ...`` from it until what is left
 is at most the next ``px``. So the count is a step function of ``U`` with a
 step at each cumulative ``px``. ``BinomialDraw`` tabulates that function over
-2**16 bins of ``U`` once, draws the same uniforms with ``Generator.random``
-and looks each count up; a bin that a step crosses is settled by numpy's own
-loop. Draws and stream position equal ``Generator.binomial``'s bit for bit.
-Outside the inversion regime, and on numpy's rare restart, numpy draws.
+2**16 bins of ``U`` once. Philox's ``next_double`` is ``(word >> 11) * 2**-53``
+of its next 64-bit word, so a uniform's bin is the word's top 16 bits: the draw
+reads the words with ``random_raw``, looks each bin's count up and writes it
+into the caller's array; a bin that a step crosses is settled by numpy's own
+loop on the uniform rebuilt from its word. Draws and stream position equal
+``Generator.binomial``'s bit for bit. Outside the inversion regime, and on
+numpy's rare restart, numpy draws.
 """
 
 from __future__ import annotations
@@ -26,12 +29,16 @@ _UNSURE = -1
 # steps, so a step lies within 1e-12 of where its cumulative sum puts it.
 _MARGIN = 1e-12
 _INVERSION_MAX_MEAN = 30.0
+_BIN_SHIFT = np.uint64(64 - 16)  # a word's top 16 bits are its uniform's bin
+_WORD_SHIFT = 64 - 53  # next_double keeps a word's top 53 bits
 
 
 class BinomialDraw:
-    """``gen.binomial(n, p, size)`` for one fixed ``(n, p)``, bit for bit.
+    """``gen.binomial(n, p, out.size)`` for one fixed ``(n, p)``, bit for bit,
+    written into ``out`` from a Philox generator's raw words.
 
-    Built once per run from ``n`` and ``p``; shared read-only by threads.
+    Built once per run from ``n`` and ``p``; shared read-only by threads, each
+    drawing into its own ``out``.
     """
 
     def __init__(self, n: int, p: float) -> None:
@@ -81,21 +88,26 @@ class BinomialDraw:
             x += 1
         return x
 
-    def __call__(self, gen: np.random.Generator, size: int) -> np.ndarray:
+    def __call__(self, gen: np.random.Generator, out: np.ndarray) -> None:
+        """Write ``gen.binomial(n, p, out.size)`` into the int64 array ``out``."""
+        bitgen = gen.bit_generator
+        if not isinstance(bitgen, np.random.Philox):  # the stream the replay is checked on
+            raise TypeError(f"BinomialDraw replays Philox streams, got {type(bitgen).__name__}")
         if self._table is None:
-            return gen.binomial(self.n, self.p, size=size)
-        state = gen.bit_generator.state
-        u = gen.random(size)
-        u *= _BINS  # exact, a power of two: a uniform's bin is the integer part
-        looked_up = self._table.take(u.astype(np.intp))
-        counts = looked_up.astype(np.int64)
+            out[...] = gen.binomial(self.n, self.p, size=out.size)
+            return
+        state = bitgen.state
+        words = bitgen.random_raw(out.size)
+        np.right_shift(words, _BIN_SHIFT, out=out.view(np.uint64))
+        looked_up = self._table.take(out)
+        np.copyto(out, looked_up)
         unsure = np.flatnonzero(looked_up == _UNSURE)
-        for i, scaled in zip(unsure.tolist(), u[unsure].tolist()):
-            x = self._invert(scaled / _BINS)
+        for i, word in zip(unsure.tolist(), words[unsure].tolist()):
+            x = self._invert((word >> _WORD_SHIFT) * 2.0**-53)  # numpy's next_double
             if x is None:  # numpy takes a second uniform here: let it redraw
-                gen.bit_generator.state = state
-                return gen.binomial(self.n, self.p, size=size)
-            counts[i] = x
+                bitgen.state = state
+                out[...] = gen.binomial(self.n, self.p, size=out.size)
+                return
+            out[i] = x
         if self._flip:
-            np.subtract(self.n, counts, out=counts)
-        return counts
+            np.subtract(self.n, out, out=out)

@@ -20,8 +20,12 @@ The draws of replication ``i`` therefore depend only on ``(seed, i)``, and
 results are bit-identical no matter how many workers process the blocks;
 aggregation uses integer counters, which are order-insensitive. One draw
 object per group (``_binomial.BinomialDraw``, numpy's ``Generator.binomial``
-replayed by table lookup where numpy inverts, or ``_GenotypeDraw``) gives
-its counts, and ``_draw_block`` draws each block with them.
+replayed from Philox's raw words by table lookup where numpy inverts, or
+``_GenotypeDraw``) writes its counts into a caller's array, and
+``_draw_block`` draws each block with them. Each worker thread of a run keeps
+one pair of block-sized int64 buffers (``_BlockBuffers``) and draws every
+block it takes into them, so a block allocates no count arrays; the buffers
+are freed when the run returns.
 
 Every statistic is a function of the table ``(r1, s1)`` alone, so the tally
 evaluates each distinct table once, at every weight in one kernel call, and
@@ -38,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -300,9 +305,11 @@ class _GenotypeDraw:
         self.people = people
         self.probs = probs
 
-    def __call__(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        copies = gen.multinomial(self.people, self.probs, size=size)
-        return copies[:, 1] + 2 * copies[:, 2]
+    def __call__(self, gen: np.random.Generator, out: np.ndarray) -> None:
+        """Write ``out.size`` groups' counts into the int64 array ``out``."""
+        copies = gen.multinomial(self.people, self.probs, size=out.size)
+        np.multiply(copies[:, 2], 2, out=out)
+        out += copies[:, 1]
 
 
 def _make_draws(config: SimConfig) -> tuple:
@@ -315,13 +322,29 @@ def _make_draws(config: SimConfig) -> tuple:
     return BinomialDraw(2 * r, q1_case), BinomialDraw(2 * s, q1_ctrl)
 
 
+class _BlockBuffers(threading.local):
+    """Each thread's own pair of int64 block buffers, made on its first use.
+
+    One instance serves one run, so the buffers go when the run returns.
+    """
+
+    def __init__(self, replications: int) -> None:
+        self.pair = np.empty((2, min(_BLOCK, replications)), dtype=np.int64)
+
+    def __call__(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first ``size`` cells of the calling thread's pair."""
+        return self.pair[0, :size], self.pair[1, :size]
+
+
 def _draw_block(
-    config: SimConfig, draws: tuple, block: int, size: int
+    config: SimConfig, draws: tuple, block: int, out: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The M1 counts ``(r1, s1)`` of one block: cases, then controls, on its stream."""
+    """The M1 counts ``(r1, s1)`` of one block, drawn into ``out``'s two int64
+    arrays of the block's size: cases, then controls, on its stream."""
     gen = _stream(config.seed, block)
-    case, control = draws
-    return case(gen, size), control(gen, size)
+    for draw, counts in zip(draws, out):
+        draw(gen, counts)
+    return out
 
 
 def _labels(config: SimConfig) -> list[tuple[str, float | None]]:
@@ -335,11 +358,14 @@ def _labels(config: SimConfig) -> list[tuple[str, float | None]]:
     return out
 
 
-def _map_blocks(fn, blocks, workers: int) -> Iterator:
-    """Yield ``fn(block, start, size)`` over ``blocks`` in order, on ``workers``
-    threads, each result as it arrives; no list of them is kept."""
+def _check_workers(workers: int) -> None:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
+
+
+def _map_blocks(fn, blocks, workers: int) -> Iterator:
+    """Yield ``fn(block, start, size)`` over ``blocks`` in order, on ``workers``
+    (>= 1) threads, each result as it arrives; no list of them is kept."""
     if workers == 1:
         for blk in blocks:
             yield fn(*blk)
@@ -398,15 +424,17 @@ def _tally_tables(
 
 
 def _run(config: SimConfig, kind: str, workers: int) -> SimResult:
+    _check_workers(workers)
     start = time.perf_counter()
     draws = _make_draws(config)
+    buffers = _BlockBuffers(config.replications)
     labels = _labels(config)
     z_values = np.array([two_sided_critical_value(a) for a in config.alphas])
     width = 2 * config.design.s_controls + 1
     last = (config.replications - 1) // _BLOCK
 
     def count_tables(block: int, _: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-        return _count_tables(*_draw_block(config, draws, block, size), width)
+        return _count_tables(*_draw_block(config, draws, block, buffers(size)), width)
 
     # The pool of the blocks' tables is tallied, each distinct table once, when it
     # holds _BLOCK entries and after the last block; the int64 sums are exact.
@@ -493,11 +521,13 @@ def null_distribution_sample(config: SimConfig, workers: int = 1) -> NullSample:
     the boolean mask. The output is suitable for QQ plots and tail
     diagnostics, e.g. the one-tailed departure of U where ``q_hat < 1``.
     """
+    _check_workers(workers)
     if config.marker.delta != 0.0:
         raise SimulationConfigError(
             f"null sampling requires delta=0, got {config.marker.delta!r}"
         )
     draws = _make_draws(config)
+    buffers = _BlockBuffers(config.replications)
     n1, n0 = 2 * config.design.r_cases, 2 * config.design.s_controls
     n = config.replications
     t = np.empty(n)
@@ -507,7 +537,7 @@ def null_distribution_sample(config: SimConfig, workers: int = 1) -> NullSample:
     deg = np.empty(n, dtype=bool)
 
     def fill(block: int, start: int, size: int) -> None:
-        r1, s1 = _draw_block(config, draws, block, size)
+        r1, s1 = _draw_block(config, draws, block, buffers(size))
         arrays = statistic_arrays(r1, n1, s1, n0, config.pi_hat)
         sl = slice(start, start + size)
         t[sl] = arrays.t

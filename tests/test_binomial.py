@@ -1,4 +1,5 @@
-"""``BinomialDraw`` replays ``Generator.binomial``: the same counts, dtype and stream position."""
+"""``BinomialDraw`` replays ``Generator.binomial`` from Philox's raw words: the same
+counts, dtype and stream position, written over whatever its output array held."""
 
 import numpy as np
 import pytest
@@ -18,13 +19,15 @@ SIZES = (1, 2, 40, 1000, 3000, 100_000)
 
 
 def assert_replays(draw: BinomialDraw, seed: int, block: int, size: int) -> None:
-    """The draw and one more ``random`` call equal numpy's on a twin stream."""
+    """The draw, written into an int64 array of junk, equals numpy's on a twin
+    stream, and leaves the stream in the same state."""
     gen, twin = _stream(seed, block), _stream(seed, block)
-    got = draw(gen, size)
+    got = np.full(size, -7, dtype=np.int64)
+    draw(gen, got)
     want = twin.binomial(draw.n, draw.p, size=size)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(gen.random(4), twin.random(4))
+    np.testing.assert_equal(gen.bit_generator.state, twin.bit_generator.state)
 
 
 def mean_edge(n: int, mean: float) -> tuple[float, float]:
@@ -35,6 +38,28 @@ def mean_edge(n: int, mean: float) -> tuple[float, float]:
     while np.nextafter(p, 1.0) * n <= mean:
         p = np.nextafter(p, 1.0)
     return float(p), float(np.nextafter(p, 1.0))
+
+
+class TestRawWords:
+    """Philox's ``next_double`` is ``(word >> 11) * 2**-53`` of its next raw word,
+    so a uniform's 2**16 bin is the word's top 16 bits."""
+
+    @pytest.mark.parametrize("block, size", [(0, 1), (1, 3), (2, 4097), (7, 20_000), (1 << 20, 65_536)])
+    def test_words_are_numpy_uniforms(self, block, size):
+        gen, twin = _stream(23, block), _stream(23, block)
+        words = gen.bit_generator.random_raw(size)
+        uniforms = twin.random(size)
+        np.testing.assert_array_equal(words >> np.uint64(48), np.floor(uniforms * 2**16))
+        np.testing.assert_array_equal((words >> np.uint64(11)) * 2.0**-53, uniforms)
+        assert [(w >> 11) * 2.0**-53 for w in words[:100].tolist()] == uniforms[:100].tolist()
+        np.testing.assert_equal(gen.bit_generator.state, twin.bit_generator.state)
+
+    @pytest.mark.parametrize("p", [BENCH_Q1_CASE, 0.3, 0.0])
+    def test_other_bit_generators_refused(self, p):
+        # PCG64's doubles come from its words too, but it is not the engine's stream.
+        gen = np.random.Generator(np.random.PCG64(5))
+        with pytest.raises(TypeError, match="Philox"):
+            BinomialDraw(1000, p)(gen, np.empty(10, dtype=np.int64))
 
 
 class TestReplaysNumpy:
@@ -55,7 +80,9 @@ class TestReplaysNumpy:
     def test_zero_trials_or_probability_use_no_uniform(self):
         for n, p in ((0, 0.3), (0, 1.0), (1000, 0.0)):
             gen = _stream(5, 0)
-            np.testing.assert_array_equal(BinomialDraw(n, p)(gen, 100), np.zeros(100))
+            out = np.full(100, -7, dtype=np.int64)
+            BinomialDraw(n, p)(gen, out)
+            np.testing.assert_array_equal(out, np.zeros(100))
             assert gen.random() == _stream(5, 0).random()
 
     @settings(max_examples=200, deadline=None)
@@ -80,7 +107,7 @@ class TestReplaysNumpy:
 
     def test_non_finite_probability_reaches_numpy(self):
         with pytest.raises(ValueError):
-            BinomialDraw(10, float("nan"))(_stream(0, 0), 5)
+            BinomialDraw(10, float("nan"))(_stream(0, 0), np.empty(5, dtype=np.int64))
 
 
 class TestForcedPaths:

@@ -637,6 +637,13 @@ class TestSimulateCommand:
         assert capsys.readouterr().out == ""
         assert not to_file or out_json.read_text() == ""
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, workers, tmp_path, capsys):
+        out_json = tmp_path / "r.json"
+        assert main([*self.BASE, "--workers", workers, "--out-json", str(out_json)]) == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not out_json.exists()
+
     def test_delta_weights_expand_tests(self, capsys):
         assert main(self.BASE + ["--deltas", "0.3,0.4"]) == 0
         payload = json.loads(capsys.readouterr().out)

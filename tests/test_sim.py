@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -77,9 +78,14 @@ def config(q1=0.10, delta=0.0, r=500, s=500, reps=100_000, alphas=(1e-3,), seed=
     )
 
 
-def draw(cfg, size):
-    """Block 0 of a run of ``cfg``: its case and control M1 counts."""
-    return _draw_block(cfg, _make_draws(cfg), 0, size)
+def block_arrays(size):
+    """Fresh int64 arrays for one block's case and control counts."""
+    return np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+
+
+def draw(cfg, size, block=0):
+    """A block of a run of ``cfg``: its case and control M1 counts."""
+    return _draw_block(cfg, _make_draws(cfg), block, block_arrays(size))
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +99,7 @@ class TestDrawCounts:
     def test_zero_frequency_forces_zero_count(self):
         cfg = config(r=50, s=50, seed=0)
         _, control = _make_draws(cfg)
-        r1, s1 = _draw_block(cfg, (BinomialDraw(100, 0.0), control), 0, 20)
+        r1, s1 = _draw_block(cfg, (BinomialDraw(100, 0.0), control), 0, block_arrays(20))
         assert (r1 == 0).all() and (s1 > 0).any()
 
     def test_allele_draws_are_numpy_binomial_streams(self):
@@ -103,7 +109,9 @@ class TestDrawCounts:
         for case, control in (base, (BinomialDraw(1000, 0.02), BinomialDraw(800, 0.97)),
                               (BinomialDraw(1000, 0.3), base[1])):
             gen, twin = _stream(9, 4), _stream(9, 4)
-            r1, s1 = case(gen, 5000), control(gen, 5000)
+            r1, s1 = block_arrays(5000)
+            case(gen, r1)
+            control(gen, s1)
             np.testing.assert_array_equal(r1, twin.binomial(case.n, case.p, 5000))
             np.testing.assert_array_equal(s1, twin.binomial(control.n, control.p, 5000))
             assert gen.random() == twin.random()
@@ -216,7 +224,7 @@ class TestVectorizedAgainstScalar:
 
 def reference_tally(config, labels, z_values, block, size):
     """Per-replicate block tally: every draw through the kernel, counted one by one."""
-    r1, s1 = _draw_block(config, _make_draws(config), block, size)
+    r1, s1 = draw(config, size, block)
     n1, n0 = 2 * config.design.r_cases, 2 * config.design.s_controls
     rejections = np.zeros((len(labels), len(z_values)), dtype=np.int64)
     for i, (test, dw) in enumerate(labels):
@@ -332,6 +340,25 @@ class TestRunTally:
         ]
         assert outputs[1:] == outputs[:1] * 2
 
+    def test_mixed_draw_paths_byte_equal_across_worker_counts(self):
+        # Under LD the case group is drawn through the table and the control
+        # group by numpy's BTPE, each into its thread's reused block buffer;
+        # more threads than cores.
+        cfg = config(q1=0.05, delta=0.02, r=100, s=2000, reps=8 * _BLOCK + 11, seed=22,
+                     tests=ALL_TESTS, deltas=(0.0, 0.4), alphas=(1e-2, 1e-3))
+        case, control = _make_draws(cfg)
+        assert case._table is not None and control._table is None
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads swap often, mid-block
+        try:
+            outputs = [
+                dataclasses.replace(estimate_power(cfg, workers=workers), wall_time_s=0.0).to_json()
+                for workers in (1, 2, 8)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs[1:] == outputs[:1] * 2
+
     @pytest.mark.parametrize("q1, r, calls", [(0.01, 500, 1), (0.02, 100_000, 2)])
     def test_pool_is_tallied_per_block_of_tables(self, q1, r, calls, monkeypatch):
         # Three blocks of a rare marker at R = S = 500 draw ~450 distinct tables
@@ -357,7 +384,8 @@ class TestDrawSeam:
     def test_every_block_goes_through_draw_block(self, monkeypatch):
         seen = []
 
-        def no_minor_alleles(config, draws, block, size):
+        def no_minor_alleles(config, draws, block, out):
+            size = out[0].size
             seen.append((block, size))
             return np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
 
@@ -528,6 +556,19 @@ class TestNullDistributionSample:
         np.testing.assert_array_equal(a.t, b.t)
         np.testing.assert_array_equal(a.u, b.u)
 
+    def test_blocks_drawn_into_reused_buffers_match_fresh_draws(self):
+        # Each block is drawn into its thread's buffers and read from them
+        # before that thread draws the next; fresh arrays give the same sample.
+        cfg = config(q1=0.01, reps=3 * _BLOCK + 5, seed=45)
+        samples = [null_distribution_sample(cfg, workers=workers) for workers in (1, 2)]
+        r1, s1 = map(np.concatenate, zip(*(
+            draw(cfg, size, block) for block, _, size in _blocks(cfg.replications)
+        )))
+        want = statistic_arrays(r1, 1000, s1, 1000, cfg.pi_hat)
+        for sample in samples:
+            for field in ("t", "w", "u", "q_hat", "degenerate"):
+                np.testing.assert_array_equal(getattr(sample, field), getattr(want, field))
+
 
 class TestSimResult:
     def test_tsv_layout(self):
@@ -617,9 +658,12 @@ class TestConfigValidation:
             config(**kwargs)
 
     @pytest.mark.parametrize("run", [estimate_type1, null_distribution_sample])
-    def test_workers_below_one(self, run):
-        with pytest.raises(ValueError, match="workers"):
-            run(config(reps=100), workers=0)
+    def test_workers_below_one(self, run, monkeypatch):
+        # Refused before the run builds its draws.
+        monkeypatch.setattr(sim, "_make_draws", lambda config: pytest.fail("draws built"))
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                run(config(reps=100), workers=workers)
 
     @pytest.mark.parametrize(
         "r,s",
