@@ -525,8 +525,6 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit-code mapping."""
     try:
         cli.main(args=argv, prog_name="alleletest", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
     except click.UsageError as exc:
         exc.show()
         return 1

@@ -22,18 +22,19 @@ aggregation uses integer counters, which are order-insensitive. One draw
 object per group (``_binomial.BinomialDraw``, numpy's ``Generator.binomial``
 replayed from Philox's raw words by table lookup where numpy inverts, or
 ``_GenotypeDraw``) writes its counts into a caller's array, and
-``_draw_block`` draws each block with them. Each worker thread of a run keeps
-one pair of block-sized int64 buffers (``_BlockBuffers``) and draws every
-block it takes into them, so a block allocates no count arrays; the buffers
-are freed when the run returns.
+``_draw_block`` draws each block with them. Worker ``i`` of a run takes
+blocks ``i, i + workers, ...`` and runs each of them end to end: it draws the
+block into one pair of block-sized int64 buffers of its own, so a block
+allocates no count arrays, and tallies it. The run adds up the workers'
+integer tallies; threads share only the read-only draw objects.
 
 Every statistic is a function of the table ``(r1, s1)`` alone, so the tally
 evaluates each distinct table once, at every weight in one kernel call, and
 weights its rejections by the number of replicates that drew it. Tables are
 keyed ``r1 * (2S + 1) + s1``. Each block counts its distinct tables, in a
 histogram over the box its draws fill where that box has at most one block's
-cells, else by sorting. The run pools the blocks' counts and runs the
-statistics once per block's worth of pooled tables, so once per run for
+cells, else by sorting. Each worker pools its blocks' counts and runs the
+statistics once per block's worth of pooled tables, so once per worker for
 rare-marker and small designs.
 """
 
@@ -42,10 +43,9 @@ from __future__ import annotations
 import json
 import math
 import operator
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -322,20 +322,6 @@ def _make_draws(config: SimConfig) -> tuple:
     return BinomialDraw(2 * r, q1_case), BinomialDraw(2 * s, q1_ctrl)
 
 
-class _BlockBuffers(threading.local):
-    """Each thread's own pair of int64 block buffers, made on its first use.
-
-    One instance serves one run, so the buffers go when the run returns.
-    """
-
-    def __init__(self, replications: int) -> None:
-        self.pair = np.empty((2, min(_BLOCK, replications)), dtype=np.int64)
-
-    def __call__(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """The first ``size`` cells of the calling thread's pair."""
-        return self.pair[0, :size], self.pair[1, :size]
-
-
 def _draw_block(
     config: SimConfig, draws: tuple, block: int, out: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -363,15 +349,18 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
 
 
-def _map_blocks(fn, blocks, workers: int) -> Iterator:
-    """Yield ``fn(block, start, size)`` over ``blocks`` in order, on ``workers``
-    (>= 1) threads, each result as it arrives; no list of them is kept."""
-    if workers == 1:
-        for blk in blocks:
-            yield fn(*blk)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(lambda blk: fn(*blk), blocks)
+def _run_shares(config: SimConfig, workers: int, work, *args) -> list:
+    """``work(config, draws, share, *args)`` for each worker's share of the run's
+    blocks, in worker order; ``draws`` are the run's draw objects, which the
+    workers share read-only. Worker ``i`` takes blocks ``i, i + workers, ...``; one
+    share runs on the calling thread, more run on a thread pool."""
+    draws = _make_draws(config)
+    blocks = list(_blocks(config.replications))
+    shares = [blocks[i::workers] for i in range(min(workers, len(blocks)))]
+    if len(shares) == 1:
+        return [work(config, draws, shares[0], *args)]
+    with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+        return list(pool.map(lambda share: work(config, draws, share, *args), shares))
 
 
 def _count_tables(r1: np.ndarray, s1: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -423,28 +412,26 @@ def _tally_tables(
     return np.einsum("tak,k->ta", rejected, counts), int(counts @ arrays.degenerate[0])
 
 
-def _run(config: SimConfig, kind: str, workers: int) -> SimResult:
-    _check_workers(workers)
-    start = time.perf_counter()
-    draws = _make_draws(config)
-    buffers = _BlockBuffers(config.replications)
-    labels = _labels(config)
-    z_values = np.array([two_sided_critical_value(a) for a in config.alphas])
+def _tally_share(
+    config: SimConfig,
+    draws: tuple,
+    share: list[tuple[int, int, int]],
+    labels: list[tuple[str, float | None]],
+    z_values: np.ndarray,
+) -> tuple[np.ndarray, int]:
+    """Rejections per (label, level) and degenerate replicates of one worker's
+    ``share`` of the blocks, each drawn into the same pair of int64 buffers. The
+    pool of the blocks' tables is tallied, each distinct table once, when it holds
+    ``_BLOCK`` entries and after the share's last block; the int64 sums are exact."""
+    pair = np.empty((2, share[0][2]), dtype=np.int64)  # the first block is the largest
     width = 2 * config.design.s_controls + 1
-    last = (config.replications - 1) // _BLOCK
-
-    def count_tables(block: int, _: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-        return _count_tables(*_draw_block(config, draws, block, buffers(size)), width)
-
-    # The pool of the blocks' tables is tallied, each distinct table once, when it
-    # holds _BLOCK entries and after the last block; the int64 sums are exact.
     total = np.zeros((len(labels), len(z_values)), dtype=np.int64)
     degenerate = 0
     pool = []
-    tables = _map_blocks(count_tables, _blocks(config.replications), workers)
-    for block, (keys, counts) in enumerate(tables):
-        pool.append((keys, counts))
-        if block < last and sum(k.size for k, _ in pool) < _BLOCK:
+    for i, (block, _, size) in enumerate(share, 1):
+        r1, s1 = _draw_block(config, draws, block, (pair[0, :size], pair[1, :size]))
+        pool.append(_count_tables(r1, s1, width))
+        if i < len(share) and sum(k.size for k, _ in pool) < _BLOCK:
             continue
         keys, counts = map(np.concatenate, zip(*pool))
         keys, where = np.unique(keys, return_inverse=True)
@@ -454,6 +441,15 @@ def _run(config: SimConfig, kind: str, workers: int) -> SimResult:
         total += rejections
         degenerate += ndeg
         pool = []
+    return total, degenerate
+
+
+def _run(config: SimConfig, kind: str, workers: int) -> SimResult:
+    _check_workers(workers)
+    start = time.perf_counter()
+    labels = _labels(config)
+    z_values = np.array([two_sided_critical_value(a) for a in config.alphas])
+    total, degenerate = map(sum, zip(*_run_shares(config, workers, _tally_share, labels, z_values)))
     cells = []
     n = config.replications
     for i, (test, dw) in enumerate(labels):
@@ -514,6 +510,20 @@ def estimate_power(config: SimConfig, workers: int = 1) -> SimResult:
     return _run(config, "power", workers)
 
 
+def _fill_share(
+    config: SimConfig, draws: tuple, share: list[tuple[int, int, int]], sample: NullSample
+) -> None:
+    """Write the statistics of one worker's ``share`` of the blocks, each drawn
+    into the same pair of int64 buffers, into their slices of ``sample``."""
+    pair = np.empty((2, share[0][2]), dtype=np.int64)  # the first block is the largest
+    n1, n0 = 2 * config.design.r_cases, 2 * config.design.s_controls
+    for block, start, size in share:
+        r1, s1 = _draw_block(config, draws, block, (pair[0, :size], pair[1, :size]))
+        arrays = statistic_arrays(r1, n1, s1, n0, config.pi_hat)
+        for field in fields(NullSample):
+            getattr(sample, field.name)[start:start + size] = getattr(arrays, field.name)
+
+
 def null_distribution_sample(config: SimConfig, workers: int = 1) -> NullSample:
     """Raw T, W, U and q_hat draws under no association, in replication order.
 
@@ -526,26 +536,8 @@ def null_distribution_sample(config: SimConfig, workers: int = 1) -> NullSample:
         raise SimulationConfigError(
             f"null sampling requires delta=0, got {config.marker.delta!r}"
         )
-    draws = _make_draws(config)
-    buffers = _BlockBuffers(config.replications)
-    n1, n0 = 2 * config.design.r_cases, 2 * config.design.s_controls
     n = config.replications
-    t = np.empty(n)
-    w = np.empty(n)
-    u = np.empty(n)
-    qh = np.empty(n)
-    deg = np.empty(n, dtype=bool)
-
-    def fill(block: int, start: int, size: int) -> None:
-        r1, s1 = _draw_block(config, draws, block, buffers(size))
-        arrays = statistic_arrays(r1, n1, s1, n0, config.pi_hat)
-        sl = slice(start, start + size)
-        t[sl] = arrays.t
-        w[sl] = arrays.w
-        u[sl] = arrays.u
-        qh[sl] = arrays.q_hat
-        deg[sl] = arrays.degenerate
-
-    for _ in _map_blocks(fill, _blocks(n), workers):
-        pass
-    return NullSample(t=t, w=w, u=u, q_hat=qh, degenerate=deg)
+    sample = NullSample(t=np.empty(n), w=np.empty(n), u=np.empty(n), q_hat=np.empty(n),
+                        degenerate=np.empty(n, dtype=bool))
+    _run_shares(config, workers, _fill_share, sample)
+    return sample

@@ -17,7 +17,7 @@ from alleletest.cli import (
     main,
     parse_counts_file,
 )
-from alleletest.model import DesignConstants, PenetranceModel
+from alleletest.model import DesignConstants, PenetranceModel, delta_bounds
 from alleletest.stats import AlleleCounts
 from test_power import reference_grid
 
@@ -391,6 +391,17 @@ class TestPowerCommand:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 1 + 99 * 4
 
+    def test_default_delta_grid_spans_the_ld_bounds(self, capsys):
+        code = main(["power", "--p1", "0.05", "--pen", "0.60,0.35,0.10",
+                     "--q1", "0.1", "--r", "1000", "--s", "1000",
+                     "--alpha", "1e-8", "--axis", "delta"])
+        assert code == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        coords = [row[0] for row in rows[::4]]
+        assert len(coords) == 41
+        assert [row[0] for row in rows] == [c for c in coords for _ in range(4)]
+        assert (float(coords[0]), float(coords[-1])) == delta_bounds(0.05, 0.1)
+
     def test_delta_weight_axis_checks_fixed_marker(self, capsys):
         code = main(["power", "--p1", "0.05", "--pen", "0.60,0.35,0.10",
                      "--q1", "0.5", "--delta", "0.3", "--r", "1000", "--s", "1000",
@@ -485,6 +496,27 @@ class TestPowerCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert name in err and "undefined" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--values", "0.1", "--sweep", "0.1:0.2:3"], "--values and --sweep are mutually exclusive"),
+            (["--sweep", "0:1"], "--sweep expects lo:hi:n"),
+            (["--sweep", "a:b:3"], "--sweep expects numbers lo:hi:n, got 'a:b:3'"),
+            (["--sweep", "0:1:0"], "--sweep needs at least one point"),
+            (["--values", "0.1", "--pen", "0.6,x,0.1"], "--pen values must be numbers, got '0.6,x,0.1'"),
+            (["--values", "0.1,abc"], "--values values must be numbers, got '0.1,abc'"),
+        ],
+        ids=["values-and-sweep", "sweep-fields", "sweep-numbers", "sweep-points", "pen", "values"],
+    )
+    def test_malformed_grid_or_number_rejected(self, args, message, tmp_path, capsys):
+        out = tmp_path / "power.csv"
+        code = main(["power", "--p1", "0.05", "--pen", "0.60,0.35,0.10", "--delta", "0.3",
+                     "--r", "1000", "--s", "1000", "--alpha", "1e-8", "--axis", "q1", *args,
+                     "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_spec(self, capsys):
@@ -957,6 +989,17 @@ class TestConfigFile:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+
+
+    def test_config_must_hold_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"pi_hat": 0.1}]))
+        out = tmp_path / "power.csv"
+        code = main(["power", "--config", str(cfg), "--p1", "0.05", "--pen", "0.60,0.35,0.10",
+                     "--delta", "0.3", "--values", "0.1", "--out", str(out)])
+        assert code == 1
+        assert "config file must hold a JSON object" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:

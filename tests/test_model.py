@@ -237,6 +237,11 @@ class TestQTerm:
         summary = population_summary(ADDITIVE, MARKER)
         assert q_term(summary, 0.5) == pytest.approx(0.9312482536908864, rel=1e-12)
 
+    def test_case_fraction_must_lie_inside_unit_interval(self):
+        summary = population_summary(ADDITIVE, MARKER)
+        with pytest.raises(ValueError, match="lam must lie in \\(0, 1\\), got 1.0"):
+            q_term(summary, 1.0)
+
     def test_delta_weight_at_prevalence_matches_plain(self):
         summary = population_summary(ADDITIVE, MARKER)
         assert q_term(summary, 0.5, summary.prevalence) == pytest.approx(

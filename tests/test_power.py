@@ -100,6 +100,16 @@ class TestFrozenAnchors:
         assert power_w(1e6, -1.0, 0.9, 1.0, 1e-8) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestScalarArguments:
+    @pytest.mark.parametrize(
+        "m, q_ratio, message",
+        [(0.0, 1.0, "m must be positive, got 0.0"), (1000.0, 0.0, "q_ratio must be positive, got 0.0")],
+    )
+    def test_nonpositive_m_or_q_ratio_rejected(self, m, q_ratio, message):
+        with pytest.raises(ValueError, match=message):
+            power_t(m, 0.1, 0.3, q_ratio, 1e-8)
+
+
 class TestOrderings:
     def test_w_equals_t_at_unit_ratio(self):
         for mu_scale in (0.0, 0.5, 2.0, -3.0):
@@ -369,6 +379,9 @@ class TestPowerGrid:
             ({"axis": "q1", "values": [0.2, 1.5], "delta": 0.3, "delta_weight": 7.0},
              "delta_weight .* got 7.0"),
             ({"axis": "delta", "values": [0.1], "q1": 0.0, "delta_weight": 7.0}, "q1 .* got 0.0"),
+            # the axis and the missing fixed coordinates come before any coordinate
+            ({"axis": "bogus", "values": [1.5], "delta": 0.3}, "axis must be one of"),
+            ({"axis": "delta", "values": [2.0]}, "q1 must be fixed"),
         ],
     )
     def test_first_bad_coordinate_reported_in_grid_order(self, kwargs, message):

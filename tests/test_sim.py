@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -359,6 +360,33 @@ class TestRunTally:
             sys.setswitchinterval(interval)
         assert outputs[1:] == outputs[:1] * 2
 
+    def test_each_worker_draws_its_blocks_into_one_pair(self, monkeypatch):
+        # Worker i takes blocks i, i + workers, ...; a lone worker runs on the
+        # calling thread. The drawn arrays are kept, so no freed buffer's address
+        # can come back for another pair.
+        seen = []
+        draw_block = sim._draw_block
+
+        def recorded(config, draws, block, out):
+            seen.append((threading.get_ident(), block, out[0]))
+            return draw_block(config, draws, block, out)
+
+        monkeypatch.setattr(sim, "_draw_block", recorded)
+        cfg = config(q1=0.01, reps=4 * _BLOCK + 3, seed=23)
+        for workers, shares in ((1, [{0, 1, 2, 3, 4}]), (2, [{0, 2, 4}, {1, 3}])):
+            seen.clear()
+            estimate_type1(cfg, workers=workers)
+            threads = {thread: [] for thread, _, _ in seen}
+            for thread, block, counts in seen:
+                threads[thread].append((block, counts.ctypes.data))
+            assert sorted(sorted(block for block, _ in drawn) for drawn in threads.values()) == \
+                sorted(sorted(share) for share in shares)
+            pairs = [{address for _, address in drawn} for drawn in threads.values()]
+            assert all(len(pair) == 1 for pair in pairs)
+            assert len(set.union(*pairs)) == workers
+            if workers == 1:
+                assert list(threads) == [threading.get_ident()]
+
     @pytest.mark.parametrize("q1, r, calls", [(0.01, 500, 1), (0.02, 100_000, 2)])
     def test_pool_is_tallied_per_block_of_tables(self, q1, r, calls, monkeypatch):
         # Three blocks of a rare marker at R = S = 500 draw ~450 distinct tables
@@ -557,8 +585,8 @@ class TestNullDistributionSample:
         np.testing.assert_array_equal(a.u, b.u)
 
     def test_blocks_drawn_into_reused_buffers_match_fresh_draws(self):
-        # Each block is drawn into its thread's buffers and read from them
-        # before that thread draws the next; fresh arrays give the same sample.
+        # Each block is drawn into its worker's buffers and read from them
+        # before that worker draws the next; fresh arrays give the same sample.
         cfg = config(q1=0.01, reps=3 * _BLOCK + 5, seed=45)
         samples = [null_distribution_sample(cfg, workers=workers) for workers in (1, 2)]
         r1, s1 = map(np.concatenate, zip(*(
@@ -655,6 +683,16 @@ class TestConfigValidation:
     )
     def test_repeated_entries_rejected(self, field, kwargs, value):
         with pytest.raises(ValueError, match=re.escape(f"{field} repeats {value!r}")):
+            config(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"reps": 0}, "replications must be >= 1"), ({"alphas": ()}, "at least one significance"),
+         ({"tests": ()}, "at least one test")],
+        ids=["replications", "alphas", "tests"],
+    )
+    def test_empty_request_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
             config(**kwargs)
 
     @pytest.mark.parametrize("run", [estimate_type1, null_distribution_sample])
