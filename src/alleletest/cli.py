@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import sys
+from array import array
 from typing import IO, Iterator
 
 import click
@@ -76,6 +78,12 @@ LOCALITY_NOTE = (
 )
 
 
+# Markers per block of the scan: the parse range-checks, the kernel runs on and
+# the formatter writes one block at a time, so the temporaries, the formatted
+# text and the Python floats held at any time do not grow with the file.
+SCAN_BLOCK_ROWS = 1024
+
+
 class CountsFileError(ValueError):
     """Malformed marker counts file; carries the offending line number."""
 
@@ -95,12 +103,15 @@ def parse_counts_file(path: str) -> tuple[list[str], np.ndarray]:
     the header row is required and validated. Counts are read by ``int()``.
     Duplicate marker ids, negative counts, odd group totals and totals above
     ``stats.MAX_ALLELE_TOTAL`` are rejected at the first offending line, with
-    the messages of :class:`~alleletest.stats.AlleleCounts`.
+    the messages of :class:`~alleletest.stats.AlleleCounts`. Every
+    ``SCAN_BLOCK_ROWS`` rows the counts read are range-checked and packed into
+    int64, so Python ints and line numbers are kept for one block only.
     """
     ids: list[str] = []
-    values: list[int] = []
-    line_nos: list[int] = []
     seen: set[str] = set()
+    packed = array("q")  # four counts per row
+    values: list[int] = []  # the counts of the rows not yet packed, as read
+    line_nos: list[int] = []  # and their line numbers
     header_seen = False
     error = None
     with open(path, "rt", encoding="utf-8-sig") as fh:
@@ -134,25 +145,39 @@ def parse_counts_file(path: str) -> tuple[list[str], np.ndarray]:
                 break
             ids.append(marker_id)
             line_nos.append(line_no)
-    try:
-        counts = np.array(values, dtype=np.int64).reshape(-1, 4)
-    except OverflowError:  # such a count is out of range: clamp it, keeping its sign
-        bounded = [min(max(v, -1), MAX_ALLELE_TOTAL + 1) for v in values]
-        counts = np.array(bounded, dtype=np.int64).reshape(-1, 4)
-    bad = np.flatnonzero(_out_of_range(counts))
-    if bad.size:  # a range error comes before any error on a later line
-        i = int(bad[0])
-        try:
-            AlleleCounts(*values[4 * i : 4 * i + 4])
-        except ValueError as exc:
-            raise CountsFileError(str(exc), line_nos[i]) from None
+            if len(line_nos) == SCAN_BLOCK_ROWS:
+                _pack(packed, values, line_nos)
+    _pack(packed, values, line_nos)  # a range error comes before any error on a later line
     if error is not None:
         raise error
     if not header_seen:
         raise CountsFileError("empty counts file (header row is required)")
     if not ids:
         raise CountsFileError("no marker rows found after the header")
-    return ids, counts
+    return ids, np.frombuffer(packed, dtype=np.int64).reshape(-1, 4)
+
+
+def _pack(packed: array, values: list[int], line_nos: list[int]) -> None:
+    """Append a block's counts to ``packed`` and empty ``values`` and
+    ``line_nos``, or raise for the block's first out-of-range row."""
+    if not values:
+        return
+    start = len(packed)
+    try:
+        packed.fromlist(values)
+    except OverflowError:  # such a count is out of range: clamp it, keeping its sign
+        packed.fromlist([min(max(v, -1), MAX_ALLELE_TOTAL + 1) for v in values])
+    block = np.frombuffer(packed, dtype=np.int64, offset=8 * start).reshape(-1, 4)
+    bad = np.flatnonzero(_out_of_range(block))
+    del block  # releases the buffer, so that packed can grow again
+    if bad.size:
+        i = int(bad[0])
+        try:
+            AlleleCounts(*values[4 * i : 4 * i + 4])
+        except ValueError as exc:
+            raise CountsFileError(str(exc), line_nos[i]) from None
+    values.clear()
+    line_nos.clear()
 
 
 def _out_of_range(counts: np.ndarray) -> np.ndarray:
@@ -273,29 +298,42 @@ def model_cmd(p1, pen, q1, delta, r, s):
     click.echo(json.dumps(payload, indent=2))
 
 
-# Markers per formatted block. Each block is one write, so the formatted text
-# and the Python floats held at any time do not grow with the file.
-SCAN_BLOCK_ROWS = 4096
 _OK_ROW = "%s" + "\t%.17g" * 13 + "\tok\t%d\n"
 
 
 def _scan_blocks(
     ids: list[str], counts: np.ndarray, pi_hat: float, ci_level: float, direction: str
 ) -> Iterator[str]:
-    r1, r2, s1, s2 = counts.T
-    arrays, z = report_arrays(
-        r1, r1 + r2, s1, s1 + s2, pi_hat, ci_level=ci_level, direction=direction
-    )
-    ranked = np.flatnonzero(~arrays.degenerate)
-    ranked = ranked[np.argsort(-np.abs(arrays.w[ranked]), kind="stable")]
-    rank = np.zeros(len(ids), dtype=np.int64)
-    rank[ranked] = np.arange(1, ranked.size + 1)
-    yield "\t".join(SCAN_COLUMNS) + "\n"
+    """The scan's TSV text: the header once the ranks are known, then one
+    string per block of ``SCAN_BLOCK_ROWS`` markers.
+
+    The kernel is elementwise, so it runs per block; only its outputs are
+    kept until the file-wide stable ``|W|`` rank is known.
+    """
+    reports = []
     for start in range(0, len(ids), SCAN_BLOCK_ROWS):
+        r1, r2, s1, s2 = counts[start : start + SCAN_BLOCK_ROWS].T
+        reports.append(
+            report_arrays(r1, r1 + r2, s1, s1 + s2, pi_hat, ci_level=ci_level, direction=direction)
+        )
+    # The rank's temporaries are made in place or dropped once used: on large
+    # files this step sets the scan's peak memory.
+    key = np.concatenate([arrays.w for arrays, _ in reports])
+    order = np.argsort(np.negative(np.abs(key, out=key), out=key), kind="stable")
+    del key
+    # A stable sort keeps the order of any subset, so the markers left after
+    # the degenerate ones are dropped are ranked as if sorted alone.
+    degenerate = np.concatenate([arrays.degenerate for arrays, _ in reports])
+    order = order[~degenerate[order]]
+    rank = np.zeros(len(ids), dtype=np.int64)
+    rank[order] = np.arange(1, order.size + 1)
+    del order, degenerate  # the blocks are formatted with the ranks alone
+    yield "\t".join(SCAN_COLUMNS) + "\n"
+    for start, (arrays, z) in zip(range(0, len(ids), SCAN_BLOCK_ROWS), reports):
         stop = start + SCAN_BLOCK_ROWS
         lines = []
         for marker_id, (*cells, flags), pos in zip(
-            ids[start:stop], report_rows(arrays, z, start, stop), rank[start:stop].tolist()
+            ids[start:stop], report_rows(arrays, z), rank[start:stop].tolist()
         ):
             if flags:  # degenerate: empty cells for what is undefined, no rank
                 lines.append("\t".join([marker_id, *map(_fmt, cells), ";".join(flags), "\n"]))
@@ -485,6 +523,9 @@ def power_cmd(p1, pen, q1, delta, delta_weight, r, s, alpha, axis, values, sweep
 @_config_option
 def simulate_cmd(p1, pen, q1, delta, r, s, pi_hat, reps, seed, mode, alphas, deltas, tests, workers, type1, out_json, out_tsv):
     """Run the Monte Carlo engine and emit rejection-fraction tables."""
+    if out_json and out_tsv and os.path.realpath(out_json) == os.path.realpath(out_tsv):
+        # the second handle would write over the first from offset 0
+        raise click.UsageError("--out-json and --out-tsv name the same file")
     pens = _parse_pen(pen)
     model = PenetranceModel(p1=p1, pen11=pens[0], pen12=pens[1], pen22=pens[2])
     marker = MarkerSpec(q1=q1, delta=delta)

@@ -434,10 +434,8 @@ def report_arrays(
     return statistic_arrays(r1, n1, s1, n0, pi_hat, direction=direction), z
 
 
-def report_rows(
-    arrays: StatArrays, z: float, start: int = 0, stop: int | None = None
-) -> Iterator[tuple]:
-    """Report cells of tables ``start:stop``, in the order of ``cli.SCAN_COLUMNS``.
+def report_rows(arrays: StatArrays, z: float) -> Iterator[tuple]:
+    """Report cells of each table, in the order of ``cli.SCAN_COLUMNS``.
 
     Yields ``(q_ctrl, q_case, t, p_t, w, p_w, w_cor, u, p_u, q_hat, ratio,
     ci_lo, ci_hi, flags)`` per table, on Python floats, with p-values and
@@ -447,7 +445,7 @@ def report_rows(
     read it.
     """
     for q_ctrl, q_case, t, w, w_cor, u, qh, se, degenerate, monomorphic in zip(
-        *(np.atleast_1d(c)[start:stop].tolist() for c in arrays)
+        *(np.atleast_1d(c).tolist() for c in arrays)
     ):
         if not degenerate:
             ratio, lo, hi = _ratio_ci(q_ctrl, q_case, se, z)

@@ -1,6 +1,8 @@
 """CLI tests: parsing, subcommand outputs, exit codes, config files."""
 
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +246,65 @@ class TestParseMatchesRowLoop:
         with open(path, "wt", encoding="utf-8", newline="") as fh:
             fh.write(text)
         assert _outcome(parse_counts_file, str(path)) == _outcome(reference_parse, str(path))
+
+    # With blocks of two rows, a file of up to ten rows is range-checked in up
+    # to five flushes.
+    @given(counts_files())
+    @example(f"{HEADER}\nrs1\t2\t2\t2\t2\nrs2\t-1\t3\t2\t2\nrs3\t2\t2\t2\t2\n"
+             "rs4\t2\t2\t2\t2\nrs5\t2.5\t1\t2\t2\n")
+    @example(f"{HEADER}\nrs1\t2\t2\t2\t2\nrs2\t2\t2\t2\t2\nrs3\t2\t2\t2\t2\n"
+             f"rs4\t2\t2\t2\t2\nrs5\t2\t2\t-{BIG}\t2\nrs6\t2\t2\t2\t2\n")
+    @example(f"{HEADER}\nrs1\t2\t2\t2\t2\nrs2\t2\t2\t2\t2\nrs3\t2\t2\t2\t2\n"
+             f"rs4\t2\t2\t2\t2\nrs5\t2\t2\t2\t2\nrs6\t{BIG}\t0\t2\t2\n")
+    @settings(max_examples=200, deadline=None)
+    def test_same_rows_or_same_error_across_blocks(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("counts") / "counts.tsv"
+        with open(path, "wt", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "SCAN_BLOCK_ROWS", 2)
+            got = _outcome(parse_counts_file, str(path))
+        assert got == _outcome(reference_parse, str(path))
+
+
+def _random_counts_text(n: int, seed: int) -> str:
+    """A valid counts file of ``n`` markers: groups of 50-5000 individuals and
+    M1 frequencies uniform on 0.01-0.5."""
+    rng = np.random.default_rng(seed)
+    n1, n0 = 2 * rng.integers(50, 5000, size=(2, n))
+    q = rng.uniform(0.01, 0.5, n)
+    r1, s1 = rng.binomial(n1, q), rng.binomial(n0, q)
+    rows = np.stack([r1, n1 - r1, s1, n0 - s1], axis=1).tolist()
+    return HEADER + "\n" + "".join(f"rs{i}\t{a}\t{b}\t{c}\t{d}\n" for i, (a, b, c, d) in enumerate(rows))
+
+
+class TestScanMemory:
+    # tracemalloc peak of the parse and the drained scan blocks, above what was
+    # traced before, on this file (Python 3.11, numpy 2.4): 443 B/marker with
+    # the whole file parsed into Python int lists and one kernel call over it;
+    # 229 B/marker with the counts packed as they are read and the kernel run
+    # per block of 1024. The ids themselves take ~70 B/marker.
+    MARKERS = 20_000
+    BOUND = 300  # bytes per marker
+
+    def test_peak_per_marker(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text(_random_counts_text(self.MARKERS, seed=5))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ids, counts = parse_counts_file(str(path))
+            for _ in cli._scan_blocks(ids, counts, 0.15, 0.95, "toward_zero"):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(ids) == self.MARKERS
+        assert (peak - before) / self.MARKERS < self.BOUND
 
 
 class TestScanCommand:
@@ -658,6 +719,18 @@ class TestSimulateCommand:
         assert payload["replications"] == 20000
         header = out_tsv.read_text().split("\n")[0]
         assert header == "test\talpha\tfraction\tse\treplications"
+
+    @pytest.mark.parametrize("tsv_name", ["r.out", "sub/../r.out", "link.out"])
+    def test_same_file_for_both_outputs_rejected(self, tsv_name, tmp_path, capsys):
+        (tmp_path / "sub").mkdir()
+        os.symlink(tmp_path / "r.out", tmp_path / "link.out")
+        code = main(self.BASE + ["--out-json", str(tmp_path / "r.out"),
+                                 "--out-tsv", str(tmp_path / tsv_name)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--out-json and --out-tsv name the same file" in captured.err
+        assert not (tmp_path / "r.out").exists()
 
     @pytest.mark.parametrize("to_file", [False, True])
     def test_unopenable_output_leaves_no_result(self, to_file, tmp_path, capsys):
