@@ -220,14 +220,16 @@ def _config_option(fn):
     )(fn)
 
 
-def _parse_pen(text: str) -> tuple[float, float, float]:
-    parts = [p.strip() for p in text.split(",")]
+def _penetrance_model(p1: float, pen: str) -> PenetranceModel:
+    """The model of ``--p1`` and ``--pen``, three comma-separated risks."""
+    parts = [p.strip() for p in pen.split(",")]
     if len(parts) != 3:
         raise click.UsageError("--pen expects three comma-separated risks: pen11,pen12,pen22")
     try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
+        pen11, pen12, pen22 = map(float, parts)
     except ValueError:
-        raise click.UsageError(f"--pen values must be numbers, got {text!r}") from None
+        raise click.UsageError(f"--pen values must be numbers, got {pen!r}") from None
+    return PenetranceModel(p1=p1, pen11=pen11, pen12=pen12, pen22=pen22)
 
 
 def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
@@ -243,15 +245,17 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.17g}"
 
 
-def _open_out(path: str) -> IO[str]:
-    if path == "-":
-        return sys.stdout
-    return open(path, "wt", encoding="utf-8")
-
-
-def _close_out(handle: IO[str]) -> None:
-    if handle is not sys.stdout:
-        handle.close()
+@contextlib.contextmanager
+def _outputs(*paths: str | None) -> Iterator[list[IO[str] | None]]:
+    """Open every output before any is written: ``-`` is stdout, which is
+    never closed, and ``None`` is no output."""
+    with contextlib.ExitStack() as stack:
+        yield [
+            None if path is None
+            else sys.stdout if path == "-"
+            else stack.enter_context(open(path, "wt", encoding="utf-8"))
+            for path in paths
+        ]
 
 
 @click.group()
@@ -273,8 +277,7 @@ def cli():
 @_config_option
 def model_cmd(p1, pen, q1, delta, r, s):
     """Print the derived population quantities as JSON."""
-    pens = _parse_pen(pen)
-    model = PenetranceModel(p1=p1, pen11=pens[0], pen12=pens[1], pen22=pens[2])
+    model = _penetrance_model(p1, pen)
     marker = MarkerSpec(q1=q1, delta=delta)
     design = DesignConstants(r_cases=r, s_controls=s)
     summary = population_summary(model, marker)
@@ -355,13 +358,9 @@ def scan_cmd(counts, pi_hat, out, ci_level, direction, warn_locality):
     ids, table = parse_counts_file(counts)
     blocks = _scan_blocks(ids, table, pi_hat, ci_level, direction)
     header = next(blocks)  # checks the arguments before the output is opened
-    handle = _open_out(out)
-    try:
+    with _outputs(out) as (handle,):
         handle.write(header)
-        for block in blocks:
-            handle.write(block)
-    finally:
-        _close_out(handle)
+        handle.writelines(blocks)
     if warn_locality:
         click.echo(LOCALITY_NOTE, err=True)
     click.echo(f"scanned {len(ids)} markers", err=True)
@@ -447,8 +446,7 @@ def _power_blocks(powers: power_mod.PowerGrid, axis: str) -> Iterator[str]:
 @_config_option
 def power_cmd(p1, pen, q1, delta, delta_weight, r, s, alpha, axis, values, sweep, pi_hats, out):
     """Evaluate asymptotic power curves; emits CSV data for plotting."""
-    pens = _parse_pen(pen)
-    model = PenetranceModel(p1=p1, pen11=pens[0], pen12=pens[1], pen22=pens[2])
+    model = _penetrance_model(p1, pen)
     design = DesignConstants(r_cases=r, s_controls=s)
     if {"q1": q1, "delta": delta, "delta_weight": delta_weight}[axis] is not None:
         flag = "--" + axis.replace("_", "-")
@@ -493,13 +491,9 @@ def power_cmd(p1, pen, q1, delta, delta_weight, r, s, alpha, axis, values, sweep
         delta_weight=delta_weight,
         pi_hat_values=pi_hat_values,
     )
-    handle = _open_out(out)
-    try:
+    with _outputs(out) as (handle,):
         handle.write("axis,test,variant,power,feasible\n")
-        for block in _power_blocks(powers, axis):
-            handle.write(block)
-    finally:
-        _close_out(handle)
+        handle.writelines(_power_blocks(powers, axis))
 
 
 @cli.command("simulate")
@@ -523,11 +517,11 @@ def power_cmd(p1, pen, q1, delta, delta_weight, r, s, alpha, axis, values, sweep
 @_config_option
 def simulate_cmd(p1, pen, q1, delta, r, s, pi_hat, reps, seed, mode, alphas, deltas, tests, workers, type1, out_json, out_tsv):
     """Run the Monte Carlo engine and emit rejection-fraction tables."""
-    if out_json and out_tsv and os.path.realpath(out_json) == os.path.realpath(out_tsv):
-        # the second handle would write over the first from offset 0
+    paths = (out_json or "-", out_tsv or None)  # the JSON goes to stdout by default
+    json_dest, tsv_dest = (p if p in ("-", None) else os.path.realpath(p) for p in paths)
+    if json_dest == tsv_dest:  # one would write over the other, or both to stdout
         raise click.UsageError("--out-json and --out-tsv name the same file")
-    pens = _parse_pen(pen)
-    model = PenetranceModel(p1=p1, pen11=pens[0], pen12=pens[1], pen22=pens[2])
+    model = _penetrance_model(p1, pen)
     marker = MarkerSpec(q1=q1, delta=delta)
     design = DesignConstants(r_cases=r, s_controls=s)
     alpha_values = _parse_float_list(alphas, "--alphas")
@@ -552,12 +546,8 @@ def simulate_cmd(p1, pen, q1, delta, r, s, pi_hat, reps, seed, mode, alphas, del
         result = sim_mod.estimate_type1(config, workers=workers)
     else:
         result = sim_mod.estimate_power(config, workers=workers)
-    with contextlib.ExitStack() as stack:  # open every output before writing any
-        json_out, tsv_out = [
-            stack.enter_context(open(path, "wt", encoding="utf-8")) if path else None
-            for path in (out_json, out_tsv)
-        ]
-        (json_out or sys.stdout).write(result.to_json() + "\n")
+    with _outputs(*paths) as (json_out, tsv_out):
+        json_out.write(result.to_json() + "\n")
         if tsv_out:
             tsv_out.write(result.to_tsv())
 
@@ -572,7 +562,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FeasibilityError, DegeneratePrevalenceError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 3
-    except (CountsFileError, ValueError) as exc:
+    except ValueError as exc:  # CountsFileError too
         click.echo(f"error: {exc}", err=True)
         return 1
     except OSError as exc:

@@ -1,7 +1,9 @@
 """CLI tests: parsing, subcommand outputs, exit codes, config files."""
 
+import io
 import json
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -997,6 +999,71 @@ class TestPowerFuzz:
         for line in lines[1:]:
             power = line.split(",")[3]
             assert power == "" or 0.0 <= float(power) <= 1.0
+
+
+POWER_ARGS = ["power", "--p1", "0.05", "--pen", "0.60,0.35,0.10", "--delta", "0.3",
+              "--r", "1000", "--s", "1000", "--alpha", "1e-8", "--values", "0.05,0.15"]
+SIMULATE_ARGS = ["simulate", "--p1", "0.10", "--pen", "0.60,0.35,0.10", "--q1", "0.10",
+                 "--r", "500", "--s", "500", "--pi-hat", "0.15", "--reps", "2000"]
+
+
+class TestDashIsStdout:
+    """Every output option takes ``-`` for stdout, which no command closes."""
+
+    @pytest.mark.parametrize("argv, head", [
+        (["scan", "--counts", "COUNTS", "--pi-hat", "0.15", "--out", "-"], "marker_id\t"),
+        ([*POWER_ARGS, "--out", "-"], "axis,test,"),
+        ([*SIMULATE_ARGS, "--out-json", "-"], "{"),
+        ([*SIMULATE_ARGS, "--out-json", "r.json", "--out-tsv", "-"], "test\talpha\t"),
+    ], ids=["scan", "power", "simulate-json", "simulate-tsv"])
+    def test_dash_writes_stdout_and_no_file(self, argv, head, counts_file, tmp_path,
+                                            monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([counts_file if arg == "COUNTS" else arg for arg in argv]) == 0
+        assert capsys.readouterr().out.startswith(head)
+        assert not (tmp_path / "-").exists()
+        if "r.json" in argv:
+            assert json.loads((tmp_path / "r.json").read_text())["replications"] == 2000
+
+    @pytest.mark.parametrize("outputs", [["--out-tsv", "-"], ["--out-json", "-", "--out-tsv", "-"]],
+                             ids=["default-json", "dash-json"])
+    def test_both_simulate_outputs_on_stdout_rejected(self, outputs, tmp_path, monkeypatch,
+                                                      capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sim_mod, "estimate_type1", lambda *a, **k: pytest.fail("ran"))
+        assert main([*SIMULATE_ARGS, *outputs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--out-json and --out-tsv name the same file" in captured.err
+        assert not (tmp_path / "-").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--counts", "COUNTS", "--pi-hat", "0.15"],
+        POWER_ARGS,
+    ], ids=["scan", "power"])
+    def test_output_in_missing_directory_is_io_error(self, argv, counts_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.txt"
+        assert main([counts_file if arg == "COUNTS" else arg for arg in argv]
+                    + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_stdout_stays_open(self, counts_file, monkeypatch):
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        for argv, head in [
+            (["scan", "--counts", counts_file, "--pi-hat", "0.15", "--no-warn-locality"],
+             "marker_id\t"),
+            (POWER_ARGS, "axis,test,"),
+            (SIMULATE_ARGS, '"kind": '),
+        ]:
+            stdout.seek(0)
+            stdout.truncate()
+            assert main(argv) == 0
+            assert main(argv) == 0
+            assert not stdout.closed
+            assert stdout.getvalue().count(head) == 2
 
 
 class TestConfigFile:
