@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from array import array
+from itertools import repeat
 from typing import IO, Iterator
 
 import click
@@ -31,9 +32,10 @@ from .model import (
 from .stats import (
     CORRECTION_DIRECTIONS,
     MAX_ALLELE_TOTAL,
+    REPORT_FLAGS,
     AlleleCounts,
     report_arrays,
-    report_rows,
+    report_columns,
 )
 from .stats import evaluate_counts  # noqa: F401 (bench/tracing.py wraps it)
 
@@ -79,8 +81,8 @@ LOCALITY_NOTE = (
 
 
 # Markers per block of the scan: the parse range-checks, the kernel runs on and
-# the formatter writes one block at a time, so the temporaries, the formatted
-# text and the Python floats held at any time do not grow with the file.
+# the report cells are made for one block at a time, so the temporaries and
+# the Python ints held at any time do not grow with the file.
 SCAN_BLOCK_ROWS = 1024
 
 
@@ -241,10 +243,6 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
         raise click.UsageError(f"{flag} values must be numbers, got {text!r}") from None
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else f"{x:.17g}"
-
-
 @contextlib.contextmanager
 def _outputs(*paths: str | None) -> Iterator[list[IO[str] | None]]:
     """Open every output before any is written: ``-`` is stdout, which is
@@ -301,17 +299,21 @@ def model_cmd(p1, pen, q1, delta, r, s):
     click.echo(json.dumps(payload, indent=2))
 
 
-_OK_ROW = "%s" + "\t%.17g" * 13 + "\tok\t%d\n"
+# Markers per call of the formatter; its temporaries take about 3 KiB a marker.
+_FORMAT_ROWS = 128
+# A row's fields after the marker id, each after a tab: 13 cells, the flags, the rank.
+_FIELDS = 15
 
 
 def _scan_blocks(
     ids: list[str], counts: np.ndarray, pi_hat: float, ci_level: float, direction: str
 ) -> Iterator[str]:
-    """The scan's TSV text: the header once the ranks are known, then one
-    string per block of ``SCAN_BLOCK_ROWS`` markers.
+    """The scan's TSV text: the header once the ranks are known, then the
+    rows of up to ``_FORMAT_ROWS`` markers at a time.
 
-    The kernel is elementwise, so it runs per block; only its outputs are
-    kept until the file-wide stable ``|W|`` rank is known.
+    The kernel is elementwise, so it runs per block of ``SCAN_BLOCK_ROWS``;
+    only its outputs are kept until the file-wide stable ``|W|`` rank is
+    known, and each block's are dropped once its rows are written.
     """
     reports = []
     for start in range(0, len(ids), SCAN_BLOCK_ROWS):
@@ -332,17 +334,44 @@ def _scan_blocks(
     rank[order] = np.arange(1, order.size + 1)
     del order, degenerate  # the blocks are formatted with the ranks alone
     yield "\t".join(SCAN_COLUMNS) + "\n"
-    for start, (arrays, z) in zip(range(0, len(ids), SCAN_BLOCK_ROWS), reports):
-        stop = start + SCAN_BLOCK_ROWS
-        lines = []
-        for marker_id, (*cells, flags), pos in zip(
-            ids[start:stop], report_rows(arrays, z), rank[start:stop].tolist()
-        ):
-            if flags:  # degenerate: empty cells for what is undefined, no rank
-                lines.append("\t".join([marker_id, *map(_fmt, cells), ";".join(flags), "\n"]))
-            else:
-                lines.append(_OK_ROW % (marker_id, *cells, pos))
-        yield "".join(lines)
+    reports.reverse()
+    for start in range(0, len(ids), SCAN_BLOCK_ROWS):
+        cells, flags = report_columns(*reports.pop())
+        for first in range(0, len(cells), _FORMAT_ROWS):
+            part = slice(first, min(first + _FORMAT_ROWS, len(cells)))
+            rows = slice(start + part.start, start + part.stop)
+            yield _scan_rows(ids[rows], cells[part], flags[part], rank[rows])
+
+
+def _scan_rows(ids: list[str], cells: np.ndarray, flags: np.ndarray, rank: np.ndarray) -> str:
+    """The TSV rows of some markers, laid out in one byte matrix of
+    ``_format.WIDTH``-byte fields whose fillers are then deleted."""
+    from . import _format  # imported by the scan alone, so the CLI starts as fast
+
+    n = len(ids)
+    values = np.zeros((n, _FIELDS))  # the flags' field is written over below
+    values[:, :13] = cells
+    values[:, 14] = rank
+    # A flagged row has empty cells where its value is NaN, and no rank.
+    blank = np.isnan(values)
+    blank[:, 14] = True
+    blank &= (flags != 0)[:, None]
+    values[blank] = 0.0
+    fields = _format.format_17g(values)
+    fields[blank] = _format.FILLER
+    names = b"".join((";".join(each) or "ok").encode().ljust(_format.WIDTH, _format.FILLER_BYTES)
+                     for each in REPORT_FLAGS)
+    fields[:, 13] = np.frombuffer(names, dtype=np.uint8).reshape(-1, _format.WIDTH)[flags]
+    encoded = list(map(str.encode, ids))
+    width = max(map(len, encoded))
+    padded = b"".join(map(bytes.ljust, encoded, repeat(width), repeat(_format.FILLER_BYTES)))
+    text = np.empty((n, width + _FIELDS * (_format.WIDTH + 1) + 1), dtype=np.uint8)
+    text[:, :width] = np.frombuffer(padded, dtype=np.uint8).reshape(n, width)
+    after_id = text[:, width:-1].reshape(n, _FIELDS, _format.WIDTH + 1)
+    after_id[:, :, 0] = ord("\t")
+    after_id[:, :, 1:] = fields
+    text[:, -1] = ord("\n")
+    return text.tobytes().translate(None, _format.FILLER_BYTES).decode("utf-8")
 
 
 @cli.command("scan")

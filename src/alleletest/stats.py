@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +52,8 @@ __all__ = [
     "effect_size",
     "evaluate_counts",
     "report_arrays",
-    "report_rows",
+    "report_columns",
+    "REPORT_FLAGS",
     "CORRECTION_DIRECTIONS",
     "MAX_ALLELE_TOTAL",
 ]
@@ -391,17 +392,6 @@ def _ci_quantile(ci_level: float) -> float:
     return two_sided_critical_value(1.0 - ci_level)
 
 
-def _ratio_ci(q_ctrl: float, q_case: float, se: float, z: float):
-    """Ratio and interval ends, by ``math.log``/``math.exp`` on Python floats.
-
-    numpy's ``log`` and ``exp`` differ from ``math`` in the last bit on some
-    inputs, so these stay per table.
-    """
-    ratio = q_ctrl / q_case
-    log_ratio, half = math.log(ratio), z * se
-    return ratio, math.exp(log_ratio - half), math.exp(log_ratio + half)
-
-
 def effect_size(
     counts: AlleleCounts, ci_level: float = 0.95
 ) -> tuple[float, float, float]:
@@ -415,10 +405,9 @@ def effect_size(
     """
     z = _ci_quantile(ci_level)
     _require_nondegenerate(counts)
-    arrays = _table_arrays(counts, 0.5)  # the weight is not used
-    return _ratio_ci(
-        float(arrays.q_ctrl), float(arrays.q_case), float(arrays.log_ratio_se), z
-    )
+    cells, _ = report_columns(_table_arrays(counts, 0.5), z)  # the weight is not used
+    ratio, lo, hi = cells[0, 10:].tolist()
+    return ratio, lo, hi
 
 
 def report_arrays(
@@ -434,33 +423,44 @@ def report_arrays(
     return statistic_arrays(r1, n1, s1, n0, pi_hat, direction=direction), z
 
 
-def report_rows(arrays: StatArrays, z: float) -> Iterator[tuple]:
-    """Report cells of each table, in the order of ``cli.SCAN_COLUMNS``.
+# The flags of a report, by the code that report_columns gives each table.
+REPORT_FLAGS = ((), ("monomorphic",), ("degenerate",), ("degenerate", "undefined_ratio"))
 
-    Yields ``(q_ctrl, q_case, t, p_t, w, p_w, w_cor, u, p_u, q_hat, ratio,
-    ci_lo, ci_hi, flags)`` per table, on Python floats, with p-values and
-    intervals from ``math``. Degenerate tables get no statistics and p-values
-    of 1.0, monomorphic ones no p-values either; ``flags`` is empty for clean
-    tables. ``z`` is the interval's normal quantile; degenerate tables do not
-    read it.
+
+def _mapped(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` of each value, on Python floats: ``math`` gives bits that
+    numpy's ufuncs do not always reproduce."""
+    return np.fromiter(map(fn, values.tolist()), dtype=np.float64, count=values.size)
+
+
+def report_columns(arrays: StatArrays, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Report cells of many tables, and the flags of each.
+
+    Returns an ``(n, 13)`` float array with one row per table: ``q_ctrl,
+    q_case, t, p_t, w, p_w, w_cor, u, p_u, q_hat, ratio, ci_lo, ci_hi``, the
+    columns of ``cli.SCAN_COLUMNS`` between the id and the flags, NaN where a
+    cell is empty. p-values and interval ends come from ``math``. Degenerate
+    tables get no statistics and p-values of 1.0, monomorphic ones no
+    p-values either. Also returns each table's flags as an index into
+    ``REPORT_FLAGS``, 0 (no flags) for clean tables. ``z`` is the interval's
+    normal quantile.
     """
-    for q_ctrl, q_case, t, w, w_cor, u, qh, se, degenerate, monomorphic in zip(
-        *(np.atleast_1d(c).tolist() for c in arrays)
-    ):
-        if not degenerate:
-            ratio, lo, hi = _ratio_ci(q_ctrl, q_case, se, z)
-            yield (
-                q_ctrl, q_case, t, p_value(t), w, p_value(w), w_cor, u, p_value(u),
-                qh, ratio, lo, hi, (),
-            )
-            continue
-        if monomorphic:
-            p, flags = None, ("monomorphic",)
-        elif q_case > 0.0:
-            p, flags = 1.0, ("degenerate",)
-        else:
-            p, flags = 1.0, ("degenerate", "undefined_ratio")
-        yield (q_ctrl, q_case, None, p, None, p, None, None, p, None, None, None, None, flags)
+    q_ctrl, q_case, t, w, w_cor, u, qh, se, degenerate, monomorphic = map(np.atleast_1d, arrays)
+    ok = ~degenerate
+    cells = np.full((q_ctrl.size, 13), np.nan)
+    # The statistics are NaN where degenerate, as their cells are empty.
+    cells[:, [0, 1, 2, 4, 6, 7, 9]] = np.column_stack((q_ctrl, q_case, t, w, w_cor, u, qh))
+    for col, stat in ((3, t), (5, w), (8, u)):
+        cells[~monomorphic, col] = 1.0
+        cells[ok, col] = _mapped(math.erfc, np.abs(stat[ok]) / _SQRT2)
+    ratio = q_ctrl[ok] / q_case[ok]
+    log_ratio, half = _mapped(math.log, ratio), z * se[ok]
+    cells[ok, 10] = ratio
+    cells[ok, 11] = _mapped(math.exp, log_ratio - half)
+    cells[ok, 12] = _mapped(math.exp, log_ratio + half)
+    flags = np.where(monomorphic, 1, np.where(q_case > 0.0, 2, 3))
+    flags[ok] = 0
+    return cells, flags
 
 
 def evaluate_counts(
@@ -481,8 +481,10 @@ def evaluate_counts(
     arrays, z = report_arrays(
         counts.r1, n1, counts.s1, n0, pi_hat, ci_level=ci_level, direction=direction
     )
-    q_ctrl, q_case, t, p_t, w, p_w, w_cor, u, p_u, qh, ratio, lo, hi, flags = next(
-        report_rows(arrays, z)
+    cells, codes = report_columns(arrays, z)
+    flags = REPORT_FLAGS[codes[0]]
+    q_ctrl, q_case, t, p_t, w, p_w, w_cor, u, p_u, qh, ratio, lo, hi = (
+        None if flags and math.isnan(cell) else cell for cell in cells[0].tolist()
     )
     return TestReport(
         q_hat_ctrl=q_ctrl,

@@ -22,7 +22,7 @@ from alleletest.cli import (
     parse_counts_file,
 )
 from alleletest.model import DesignConstants, PenetranceModel, delta_bounds
-from alleletest.stats import AlleleCounts
+from alleletest.stats import AlleleCounts, evaluate_counts
 from test_power import reference_grid
 
 VALID_FILE = """\
@@ -307,6 +307,96 @@ class TestScanMemory:
                 tracemalloc.stop()
         assert len(ids) == self.MARKERS
         assert (peak - before) / self.MARKERS < self.BOUND
+
+
+_OK_ROW = "%s" + "\t%.17g" * 13 + "\tok\t%d\n"
+
+
+def reference_scan_tsv(ids, counts, pi_hat, ci_level, direction):
+    """The ``scan`` TSV as it was written row by row, before the rows became
+    columns: each marker's ``evaluate_counts`` report on Python floats, ranked
+    by a stable sort on ``-|W|``, every cell formatted by ``%``."""
+
+    def fmt(x):
+        return "" if x is None else f"{x:.17g}"
+
+    reports = [
+        evaluate_counts(AlleleCounts(*row), pi_hat, ci_level=ci_level, direction=direction)
+        for row in counts.tolist()
+    ]
+    ranked = sorted((i for i, r in enumerate(reports) if not r.flags),
+                    key=lambda i: -abs(reports[i].w_stat))
+    rank = {i: pos for pos, i in enumerate(ranked, start=1)}
+    rows = ["\t".join(SCAN_COLUMNS) + "\n"]
+    for i, (marker_id, r) in enumerate(zip(ids, reports)):
+        lo, hi = r.effect_ci or (None, None)
+        cells = (r.q_hat_ctrl, r.q_hat_case, r.t_stat, r.p_t, r.w_stat, r.p_w, r.w_cor_stat,
+                 r.u_stat, r.p_u, r.q_hat, r.effect_ratio, lo, hi)
+        if r.flags:  # degenerate: empty cells for what is undefined, no rank
+            rows.append("\t".join([marker_id, *map(fmt, cells), ";".join(r.flags), "\n"]))
+        else:
+            rows.append(_OK_ROW % (marker_id, *cells, rank[i]))
+    return "".join(rows)
+
+
+@pytest.fixture(scope="module")
+def varied_counts():
+    """Ids and counts of 10,900 markers: ranks past 10,000; monomorphic,
+    degenerate and undefined_ratio rows; non-ASCII ids and ids of very
+    different lengths within one block."""
+    rng = np.random.default_rng(11)
+    n = 10_900
+    n1, n0 = 2 * rng.integers(50, 3000, size=(2, n))
+    q = rng.uniform(0.02, 0.6, n)
+    r1, s1 = rng.binomial(n1, q), rng.binomial(n0, q)
+    rows = np.stack([r1, n1 - r1, s1, n0 - s1], axis=1)
+    rows[3::97] = [0, 40, 0, 60]  # monomorphic
+    rows[5::89] = [30, 0, 50, 0]  # monomorphic, the other allele
+    rows[7::83] = [0, 100, 9, 91]  # degenerate, undefined_ratio
+    rows[11::79] = [9, 91, 0, 100]  # degenerate
+    rows[13::73] = [100, 0, 7, 93]  # degenerate
+    ids = [f"rs{i}" for i in range(n)]
+    ids[1] = "m" * 300
+    ids[2:6] = ["marqueur-é", "标记", "\U0001f9ec", "x"]
+    ids[1030] = "ü" * 120
+    return ids, rows
+
+
+@pytest.fixture(scope="module")
+def rendered():
+    """Reference TSVs rendered so far, by marker count and scan settings."""
+    return {}
+
+
+class TestScanRowsMatchRowLoop:
+    DEFAULTS = (0.15, 0.95, "toward_zero")
+    OTHERS = (0.02, 0.5, "away_from_zero")
+
+    # One-row blocks run on the first 700 markers only, for time.
+    @pytest.mark.parametrize("block_rows, markers, key", [
+        (1, 700, DEFAULTS), (7, 10_900, DEFAULTS), (1024, 10_900, DEFAULTS),
+        (7, 10_900, OTHERS), (1024, 10_900, OTHERS),
+    ])
+    def test_tsv_bytes_equal_reference(self, varied_counts, rendered, block_rows, markers, key,
+                                       tmp_path, monkeypatch):
+        ids, rows = varied_counts[0][:markers], varied_counts[1][:markers]
+        pi_hat, ci_level, direction = key
+        if (markers, key) not in rendered:
+            rendered[markers, key] = reference_scan_tsv(ids, rows, *key)
+        expected = rendered[markers, key]
+        assert "monomorphic" in expected and "undefined_ratio" in expected
+        assert "\t10000\n" in expected or markers < 10_000
+        path = tmp_path / "counts.tsv"
+        path.write_text(HEADER + "\n" + "".join(
+            "\t".join([marker_id, *map(str, row)]) + "\n"
+            for marker_id, row in zip(ids, rows.tolist())
+        ), encoding="utf-8")
+        monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", block_rows)
+        out = tmp_path / "scan.tsv"
+        argv = ["scan", "--counts", str(path), "--pi-hat", repr(pi_hat), "--ci-level",
+                repr(ci_level), "--direction", direction, "--out", str(out), "--no-warn-locality"]
+        assert main(argv) == 0
+        assert out.read_text(encoding="utf-8") == expected
 
 
 class TestScanCommand:
