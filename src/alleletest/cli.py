@@ -81,9 +81,10 @@ LOCALITY_NOTE = (
 
 
 # Markers per block of the scan: the parse range-checks, the kernel runs on and
-# the report cells are made for one block at a time, so the temporaries and
-# the Python ints held at any time do not grow with the file.
-SCAN_BLOCK_ROWS = 1024
+# the rows are formatted for one block at a time, so the temporaries and the
+# Python ints held at any time do not grow with the file. The formatter's
+# temporaries take about 3 KiB a marker.
+SCAN_BLOCK_ROWS = 512
 
 
 class CountsFileError(ValueError):
@@ -299,8 +300,6 @@ def model_cmd(p1, pen, q1, delta, r, s):
     click.echo(json.dumps(payload, indent=2))
 
 
-# Markers per call of the formatter; its temporaries take about 3 KiB a marker.
-_FORMAT_ROWS = 128
 # A row's fields after the marker id, each after a tab: 13 cells, the flags, the rank.
 _FIELDS = 15
 
@@ -309,53 +308,49 @@ def _scan_blocks(
     ids: list[str], counts: np.ndarray, pi_hat: float, ci_level: float, direction: str
 ) -> Iterator[str]:
     """The scan's TSV text: the header once the ranks are known, then the
-    rows of up to ``_FORMAT_ROWS`` markers at a time.
+    rows of one block of ``SCAN_BLOCK_ROWS`` markers at a time.
 
-    The kernel is elementwise, so it runs per block of ``SCAN_BLOCK_ROWS``;
-    only its outputs are kept until the file-wide stable ``|W|`` rank is
-    known, and each block's are dropped once its rows are written.
+    The kernel is elementwise, so it runs per block, in two passes over the
+    same blocks: the first keeps only W, for the file-wide stable ``|W|``
+    rank, and the second runs the kernel again and writes each block's rows.
     """
-    reports = []
-    for start in range(0, len(ids), SCAN_BLOCK_ROWS):
+    blocks = range(0, len(ids), SCAN_BLOCK_ROWS)
+
+    def block_arrays(start):
         r1, r2, s1, s2 = counts[start : start + SCAN_BLOCK_ROWS].T
-        reports.append(
-            report_arrays(r1, r1 + r2, s1, s1 + s2, pi_hat, ci_level=ci_level, direction=direction)
-        )
+        return report_arrays(r1, r1 + r2, s1, s1 + s2, pi_hat, ci_level=ci_level, direction=direction)
+
+    key = np.empty(len(ids))
+    for start in blocks:
+        key[start : start + SCAN_BLOCK_ROWS] = block_arrays(start)[0].w
     # The rank's temporaries are made in place or dropped once used: on large
     # files this step sets the scan's peak memory.
-    key = np.concatenate([arrays.w for arrays, _ in reports])
+    ranked = len(ids) - np.count_nonzero(np.isnan(key))
     order = np.argsort(np.negative(np.abs(key, out=key), out=key), kind="stable")
     del key
-    # A stable sort keeps the order of any subset, so the markers left after
-    # the degenerate ones are dropped are ranked as if sorted alone.
-    degenerate = np.concatenate([arrays.degenerate for arrays, _ in reports])
-    order = order[~degenerate[order]]
-    rank = np.zeros(len(ids), dtype=np.int64)
-    rank[order] = np.arange(1, order.size + 1)
-    del order, degenerate  # the blocks are formatted with the ranks alone
+    # W is NaN exactly where a table is degenerate, and NaN sorts last, so the
+    # ranked markers come first, in the order a stable sort gives them alone.
+    rank = np.full(len(ids), np.nan)
+    rank[order[:ranked]] = np.arange(1, ranked + 1)
+    del order
     yield "\t".join(SCAN_COLUMNS) + "\n"
-    reports.reverse()
-    for start in range(0, len(ids), SCAN_BLOCK_ROWS):
-        cells, flags = report_columns(*reports.pop())
-        for first in range(0, len(cells), _FORMAT_ROWS):
-            part = slice(first, min(first + _FORMAT_ROWS, len(cells)))
-            rows = slice(start + part.start, start + part.stop)
-            yield _scan_rows(ids[rows], cells[part], flags[part], rank[rows])
+    for start in blocks:
+        cells, flags = report_columns(*block_arrays(start))
+        rows = slice(start, start + len(cells))
+        yield _scan_rows(ids[rows], cells, flags, rank[rows])
 
 
 def _scan_rows(ids: list[str], cells: np.ndarray, flags: np.ndarray, rank: np.ndarray) -> str:
     """The TSV rows of some markers, laid out in one byte matrix of
-    ``_format.WIDTH``-byte fields whose fillers are then deleted."""
+    ``_format.WIDTH``-byte fields whose fillers are then deleted. A NaN cell
+    or rank is an empty field."""
     from . import _format  # imported by the scan alone, so the CLI starts as fast
 
     n = len(ids)
     values = np.zeros((n, _FIELDS))  # the flags' field is written over below
     values[:, :13] = cells
     values[:, 14] = rank
-    # A flagged row has empty cells where its value is NaN, and no rank.
-    blank = np.isnan(values)
-    blank[:, 14] = True
-    blank &= (flags != 0)[:, None]
+    blank = np.isnan(values)  # a flagged row's empty cells, and its rank
     values[blank] = 0.0
     fields = _format.format_17g(values)
     fields[blank] = _format.FILLER

@@ -438,12 +438,12 @@ def report_columns(arrays: StatArrays, z: float) -> tuple[np.ndarray, np.ndarray
 
     Returns an ``(n, 13)`` float array with one row per table: ``q_ctrl,
     q_case, t, p_t, w, p_w, w_cor, u, p_u, q_hat, ratio, ci_lo, ci_hi``, the
-    columns of ``cli.SCAN_COLUMNS`` between the id and the flags, NaN where a
-    cell is empty. p-values and interval ends come from ``math``. Degenerate
-    tables get no statistics and p-values of 1.0, monomorphic ones no
-    p-values either. Also returns each table's flags as an index into
-    ``REPORT_FLAGS``, 0 (no flags) for clean tables. ``z`` is the interval's
-    normal quantile.
+    columns of ``cli.SCAN_COLUMNS`` between the id and the flags. NaN marks
+    an empty cell, and only flagged tables have any. p-values and interval
+    ends come from ``math``. Degenerate tables get no statistics and p-values
+    of 1.0, monomorphic ones no p-values either. Also returns each table's
+    flags as an index into ``REPORT_FLAGS``, 0 (no flags) for clean tables.
+    ``z`` is the interval's normal quantile.
     """
     q_ctrl, q_case, t, w, w_cor, u, qh, se, degenerate, monomorphic = map(np.atleast_1d, arrays)
     ok = ~degenerate
@@ -484,7 +484,7 @@ def evaluate_counts(
     cells, codes = report_columns(arrays, z)
     flags = REPORT_FLAGS[codes[0]]
     q_ctrl, q_case, t, p_t, w, p_w, w_cor, u, p_u, qh, ratio, lo, hi = (
-        None if flags and math.isnan(cell) else cell for cell in cells[0].tolist()
+        None if math.isnan(cell) else cell for cell in cells[0].tolist()
     )
     return TestReport(
         q_hat_ctrl=q_ctrl,

@@ -285,9 +285,13 @@ class TestScanMemory:
     # traced before, on this file (Python 3.11, numpy 2.4): 443 B/marker with
     # the whole file parsed into Python int lists and one kernel call over it;
     # 229 B/marker with the counts packed as they are read and the kernel run
-    # per block of 1024. The ids themselves take ~70 B/marker.
+    # per block. The ids themselves take ~70 B/marker. The parse sets that
+    # peak, so the scan's own peak above what the parse holds is bounded too:
+    # 110 B/marker with every block's kernel outputs kept for the rank, and
+    # 109 with W alone kept, where one block's formatting sets it.
     MARKERS = 20_000
     BOUND = 300  # bytes per marker
+    SCAN_BOUND = 145  # bytes per marker, above what the parse holds
 
     def test_peak_per_marker(self, tmp_path):
         path = tmp_path / "counts.tsv"
@@ -299,14 +303,18 @@ class TestScanMemory:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             ids, counts = parse_counts_file(str(path))
+            parsed, parse_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
             for _ in cli._scan_blocks(ids, counts, 0.15, 0.95, "toward_zero"):
                 pass
-            peak = tracemalloc.get_traced_memory()[1]
+            scan_peak = tracemalloc.get_traced_memory()[1]
         finally:
             if not tracing:
                 tracemalloc.stop()
+        peak = max(parse_peak, scan_peak)
         assert len(ids) == self.MARKERS
         assert (peak - before) / self.MARKERS < self.BOUND
+        assert (scan_peak - parsed) / self.MARKERS < self.SCAN_BOUND
 
 
 _OK_ROW = "%s" + "\t%.17g" * 13 + "\tok\t%d\n"
@@ -376,27 +384,52 @@ class TestScanRowsMatchRowLoop:
     @pytest.mark.parametrize("block_rows, markers, key", [
         (1, 700, DEFAULTS), (7, 10_900, DEFAULTS), (1024, 10_900, DEFAULTS),
         (7, 10_900, OTHERS), (1024, 10_900, OTHERS),
+        (cli.SCAN_BLOCK_ROWS, 10_900, DEFAULTS), (cli.SCAN_BLOCK_ROWS, 10_900, OTHERS),
     ])
     def test_tsv_bytes_equal_reference(self, varied_counts, rendered, block_rows, markers, key,
                                        tmp_path, monkeypatch):
         ids, rows = varied_counts[0][:markers], varied_counts[1][:markers]
-        pi_hat, ci_level, direction = key
         if (markers, key) not in rendered:
             rendered[markers, key] = reference_scan_tsv(ids, rows, *key)
         expected = rendered[markers, key]
         assert "monomorphic" in expected and "undefined_ratio" in expected
         assert "\t10000\n" in expected or markers < 10_000
+        monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", block_rows)
+        assert self.scan_tsv(ids, rows, key, tmp_path) == expected
+
+    # Equal tables have equal |W|; W = 0 ties too. Degenerate rows sit between
+    # the tied ones and, in the second file, are every row, so no marker is
+    # ranked and the rank's whole key is NaN.
+    TIED = [[10, 90, 20, 80], [0, 40, 0, 60], [10, 90, 20, 80], [5, 95, 5, 95],
+            [0, 100, 9, 91], [10, 90, 20, 80], [9, 91, 0, 100], [5, 95, 5, 95]]
+    DEGENERATE = [[0, 40, 0, 60], [30, 0, 50, 0], [0, 100, 9, 91], [9, 91, 0, 100],
+                  [100, 0, 7, 93]]
+
+    @pytest.mark.parametrize("block_rows", [7, cli.SCAN_BLOCK_ROWS])
+    @pytest.mark.parametrize("pattern, repeats", [(TIED, 75), (DEGENERATE, 120)])
+    def test_tied_and_degenerate_rows_equal_reference(self, pattern, repeats, block_rows,
+                                                      tmp_path, monkeypatch):
+        rows = np.array(pattern * repeats)
+        ids = [f"rs{i}" for i in range(len(rows))]
+        expected = reference_scan_tsv(ids, rows, *self.DEFAULTS)
+        assert ("\t1\n" in expected) == (pattern is self.TIED)
+        monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", block_rows)
+        assert self.scan_tsv(ids, rows, self.DEFAULTS, tmp_path) == expected
+
+    @staticmethod
+    def scan_tsv(ids, rows, key, tmp_path):
+        """The text that ``scan`` writes for these markers under ``key``."""
+        pi_hat, ci_level, direction = key
         path = tmp_path / "counts.tsv"
         path.write_text(HEADER + "\n" + "".join(
             "\t".join([marker_id, *map(str, row)]) + "\n"
             for marker_id, row in zip(ids, rows.tolist())
         ), encoding="utf-8")
-        monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", block_rows)
         out = tmp_path / "scan.tsv"
         argv = ["scan", "--counts", str(path), "--pi-hat", repr(pi_hat), "--ci-level",
                 repr(ci_level), "--direction", direction, "--out", str(out), "--no-warn-locality"]
         assert main(argv) == 0
-        assert out.read_text(encoding="utf-8") == expected
+        return out.read_text(encoding="utf-8")
 
 
 class TestScanCommand:
