@@ -16,10 +16,11 @@ settles non-finite values, exponents beyond ``_LIMIT`` and roundings within
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
-__all__ = ["WIDTH", "FILLER", "FILLER_BYTES", "format_17g"]
+__all__ = ["WIDTH", "FILLER", "FILLER_BYTES", "format_17g", "format_17g_list"]
 
 FILLER = 0xFF
 FILLER_BYTES = bytes([FILLER])
@@ -45,7 +46,7 @@ def _tables():
         high = num / den
         a, b = high.as_integer_ratio()
         low = (num * b - a * den) / (den * b)
-        powers[:, i] = high, low, 0.0, 0.0, high if low <= 0.0 else np.nextafter(high, np.inf)
+        powers[:, i] = high, low, 0.0, 0.0, high if low <= 0.0 else math.nextafter(high, math.inf)
     powers[2:4] = _split(powers[0])
     # Per exponent X: the last integer digit I (X in fixed layout, -1 below 1,
     # 0 in scientific layout); words 0 and 5, without and with the sign.
@@ -71,16 +72,23 @@ def _tables():
                 row[2 * i + 1] = ord(".")
     # Four digits, each followed by a zero byte, then word 0 of each first
     # digit; and per chunk of four, the index of its last nonzero digit, or 0.
-    chunk = np.arange(10_000, dtype=np.int16)
+    # Both are copied from the bytes of two-digit pairs: numpy loops that no
+    # call runs would page in more of numpy's code than the tables hold.
+    pairs = bytes(b for n in range(100) for b in (48 + n // 10, 0, 48 + n % 10, 0))
+    pairs = np.frombuffer(pairs, dtype=np.uint8).reshape(100, 4)
     chunks = np.zeros((10_010, 8), dtype=np.uint8)
-    for place, unit in enumerate((1000, 100, 10, 1)):
-        chunks[:10_000, 2 * place] = chunk // unit % 10 + ord("0")
-    chunks[10_000:, 6] = np.arange(10) + ord("0")
-    place = 4 - sum((chunk % unit == 0).astype(np.int8) for unit in (10, 100, 1000))
-    last = np.stack([(4 * j + place) * (chunk != 0) for j in range(4)]).astype(np.int8)
+    chunks[:10_000].reshape(100, 100, 8)[:, :, :4] = pairs[:, None]
+    chunks[:10_000].reshape(100, 100, 8)[:, :, 4:] = pairs
+    chunks[10_000:, 6] = np.frombuffer(b"0123456789", dtype=np.uint8)
+    ends = bytes(n and 2 - (n % 10 == 0) for n in range(100))  # in a pair: 1, 2, or 0
+    place = bytearray(bytes(x and x + 2 for x in ends) * 100)  # the low pair's, plus 2
+    place[::100] = ends  # the high pair's, where the low pair is 00
+    shifts = [bytes([0, *range(4 * j + 1, 4 * j + 5)]).ljust(256, b"\0") for j in range(4)]
+    last = b"".join(map(place.translate, shifts))  # 4 * j + place in chunk j, or 0
     return (
         powers, (last_int + 1) * 17, *around.view(np.uint64).reshape(-1, 2).T.copy(),
-        template.view(np.uint64), chunks.view(np.uint64)[:, 0], last,
+        template.view(np.uint64), chunks.view(np.uint64)[:, 0],
+        np.frombuffer(last, dtype=np.int8).reshape(4, -1),
     )
 
 
@@ -155,3 +163,10 @@ def format_17g(x) -> np.ndarray:
         out[i, : len(text)] = list(text)
         out[i, len(text) :] = FILLER
     return out.reshape(shape + (WIDTH,))
+
+
+def format_17g_list(x) -> list[str]:
+    """``'%.17g' % v`` for each value of the 1-d float64 array ``x``."""
+    lines = np.full((len(x), WIDTH + 1), ord("\n"), dtype=np.uint8)
+    lines[:, :WIDTH] = format_17g(x)
+    return lines.tobytes().translate(None, FILLER_BYTES).decode("ascii").split()

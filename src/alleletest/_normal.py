@@ -174,8 +174,9 @@ def _erfc(x):
         far = np.flatnonzero(~near & (x * x <= _MAXLOG))
     a = x[far]
     # exp per element from math: numpy's exp differs from the C library's
-    # in the last bit on some inputs.
-    e = np.fromiter(map(math.exp, (-a * a).tolist()), dtype=float, count=a.size)
+    # in the last bit on some inputs. A memoryview yields the Python floats
+    # one at a time, where a list would hold them all.
+    e = np.fromiter(map(math.exp, memoryview(-a * a)), dtype=float, count=a.size)
     big = a >= 8.0
     for part, num, den in ((~big, _P, _Q), (big, _R, _S)):
         if part.any():  # the sweeps often fill one branch only

@@ -344,7 +344,7 @@ def _scan_rows(ids: list[str], cells: np.ndarray, flags: np.ndarray, rank: np.nd
     """The TSV rows of some markers, laid out in one byte matrix of
     ``_format.WIDTH``-byte fields whose fillers are then deleted. A NaN cell
     or rank is an empty field."""
-    from . import _format  # imported by the scan alone, so the CLI starts as fast
+    from . import _format  # imported by the writers alone, so the CLI starts as fast
 
     n = len(ids)
     values = np.zeros((n, _FIELDS))  # the flags' field is written over below
@@ -416,14 +416,17 @@ POWER_BLOCK_POINTS = 256
 def _power_blocks(powers: power_mod.PowerGrid, axis: str) -> Iterator[str]:
     """The CSV rows of ``powers``, four per (coordinate, pi-hat) point, in blocks.
 
-    A coordinate's T, W_delta and U rows are the same under every pi-hat, so
-    they are formatted once per coordinate. The weight is formatted once per
-    sweep, or is the coordinate on the weight axis. An infeasible coordinate
-    has empty power cells, so its rows are text fixed per sweep around the
-    coordinate.
+    Each block's coordinates and its feasible coordinates' T, W_delta, U and
+    W powers are formatted in one ``_format`` call, and the rows are laid out
+    around those texts. The pi-hats and the weight are formatted once per
+    sweep; on the weight axis the weight is the coordinate. An infeasible
+    coordinate has empty power cells, so its rows are text fixed per sweep
+    around the coordinate.
     """
-    pi_hats = [f"{pi_hat:.17g}" for pi_hat in powers.pi_hats]
-    weight = None if axis == "delta_weight" else f"{powers.delta_weight[0]:.17g}"
+    from . import _format  # imported by the writers alone, so the CLI starts as fast
+
+    *pi_hats, weight = _format.format_17g_list(np.array([*powers.pi_hats, powers.delta_weight[0]]))
+    weight = None if axis == "delta_weight" else weight
     # The rows of an infeasible coordinate, split where the coordinate goes.
     empty_w_delta = (",W_delta,", ",,0\n") if weight is None else (f",W_delta,{weight},,0\n",)
     infeasible = [
@@ -431,26 +434,30 @@ def _power_blocks(powers: power_mod.PowerGrid, axis: str) -> Iterator[str]:
         for pi_hat in pi_hats
         for piece in (",T,,,0\n", f",W,{pi_hat},,0\n", *empty_w_delta, ",U,,,0\n")
     ]
-    step = max(1, POWER_BLOCK_POINTS // len(pi_hats))
-    for start in range(0, len(powers.feasible), step):
-        rows = slice(start, start + step)
+
+    def block(rows: slice) -> str:
+        """The rows of some coordinates; what builds them is freed on return."""
+        coords = getattr(powers, axis)[rows]
+        feasible = powers.feasible[rows]
+        cells = np.column_stack((powers.power_t[rows], powers.power_w_delta[rows],
+                                 powers.power_u[rows], powers.power_w[rows]))[feasible]
+        texts = _format.format_17g_list(np.concatenate((coords, cells.ravel())))
+        points = zip(*[iter(texts[len(coords):])] * cells.shape[1])  # a feasible point's cells
         lines = []
-        for coord, feasible, p_t, p_wd, p_u, p_ws in zip(
-            getattr(powers, axis)[rows].tolist(),
-            powers.feasible[rows].tolist(),
-            powers.power_t[rows].tolist(),
-            powers.power_w_delta[rows].tolist(),
-            powers.power_u[rows].tolist(),
-            powers.power_w[rows].tolist(),
-        ):
-            coord = f"{coord:.17g}"
-            if not feasible:
+        for coord, ok in zip(texts, feasible.tolist()):
+            if not ok:
                 lines.append(coord + coord.join(infeasible))
                 continue
-            head = f"{coord},T,,{p_t:.17g},1\n{coord},W,"
-            tail = f",1\n{coord},W_delta,{weight or coord},{p_wd:.17g},1\n{coord},U,,{p_u:.17g},1\n"
-            lines += [f"{head}{pi_hat},{p_w:.17g}{tail}" for pi_hat, p_w in zip(pi_hats, p_ws)]
-        yield "".join(lines)
+            p_t, p_wd, p_u, *p_ws = next(points)
+            head = f"{coord},T,,{p_t},1\n{coord},W,"
+            tail = f",1\n{coord},W_delta,{weight or coord},{p_wd},1\n{coord},U,,{p_u},1\n"
+            for pi_hat, p_w in zip(pi_hats, p_ws):
+                lines.append(f"{head}{pi_hat},{p_w}{tail}")
+        return "".join(lines)
+
+    step = max(1, POWER_BLOCK_POINTS // len(pi_hats))
+    for start in range(0, len(powers.feasible), step):
+        yield block(slice(start, start + step))
 
 
 @cli.command("power")

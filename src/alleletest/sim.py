@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -353,14 +354,25 @@ def _run_shares(config: SimConfig, workers: int, work, *args) -> list:
     """``work(config, draws, share, *args)`` for each worker's share of the run's
     blocks, in worker order; ``draws`` are the run's draw objects, which the
     workers share read-only. Worker ``i`` takes blocks ``i, i + workers, ...``; one
-    share runs on the calling thread, more run on a thread pool."""
+    share runs on the calling thread, more run each on a thread of its own."""
     draws = _make_draws(config)
     blocks = list(_blocks(config.replications))
     shares = [blocks[i::workers] for i in range(min(workers, len(blocks)))]
     if len(shares) == 1:
         return [work(config, draws, shares[0], *args)]
+    barrier = threading.Barrier(len(shares))  # a pool reuses idle threads
+
+    def run(share):
+        barrier.wait()
+        return work(config, draws, share, *args)
+
     with ThreadPoolExecutor(max_workers=len(shares)) as pool:
-        return list(pool.map(lambda share: work(config, draws, share, *args), shares))
+        try:
+            futures = [pool.submit(run, share) for share in shares]
+        except BaseException:
+            barrier.abort()  # a thread did not start: release those waiting
+            raise
+        return [future.result() for future in futures]
 
 
 def _count_tables(r1: np.ndarray, s1: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:

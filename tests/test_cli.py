@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import sys
 import tracemalloc
@@ -315,6 +316,39 @@ class TestScanMemory:
         assert len(ids) == self.MARKERS
         assert (peak - before) / self.MARKERS < self.BOUND
         assert (scan_peak - parsed) / self.MARKERS < self.SCAN_BOUND
+
+
+class TestPowerMemory:
+    # tracemalloc peak of draining the power CSV's blocks, above what was traced
+    # before, once a first drain has built the formatter's tables (Python 3.11,
+    # numpy 2.4): 228 KB at 6,000 points and 225 KB at 60,000, whose CSV holds
+    # 11.1 million characters; 178 and 171 KB with an f-string per cell.
+    MODEL = PenetranceModel(p1=0.25, pen11=0.4, pen12=0.25, pen22=0.1)
+    BOUND = 1 << 20  # bytes, at any sweep length
+
+    def drain_peak(self, coordinates):
+        powers = cli.power_mod.power_grid(
+            self.MODEL, DesignConstants(2000, 2000), axis="q1",
+            values=np.linspace(0.001, 0.999, coordinates), alpha=1e-8, delta=0.5,
+            pi_hat_values=[0.05, 0.1, 0.2])
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in cli._power_blocks(powers, "q1"):
+            pass
+        return tracemalloc.get_traced_memory()[1] - before
+
+    def test_peak_does_not_grow_with_the_sweep(self):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            self.drain_peak(10)
+            short, long = self.drain_peak(2_000), self.drain_peak(20_000)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert long < self.BOUND
+        assert long < 1.25 * short
 
 
 _OK_ROW = "%s" + "\t%.17g" * 13 + "\tok\t%d\n"
@@ -797,7 +831,40 @@ class TestPowerWriterMatchesPointLoop:
                                [0.01, 0.2, 0.5, 0.7, 0.99]),
     }
 
-    @pytest.mark.parametrize("block_points", [4, cli.POWER_BLOCK_POINTS])
+    # Cases for the writer's edges, each with its alpha.
+    EDGE_CASES = {
+        # Two pi-hats: in 4-point blocks the first two blocks hold infeasible
+        # coordinates only, and so does every block of one coordinate.
+        "all-infeasible-blocks": ({"axis": "q1", "delta": 0.5, "pi_hat_values": [0.05, 0.2]},
+                                  [0.01, 0.02, 0.03, 0.04, 0.3, 0.9, 0.95], 1e-8),
+        # Three pi-hats: 85 coordinates a block at the default size, so the
+        # last block of 100 coordinates is partial and holds coordinates of
+        # both kinds; 1 coordinate a block at 4 points.
+        "three-pi-hats": ({"axis": "q1", "delta": 0.5, "pi_hat_values": [0.05, 0.1, 0.2]},
+                          np.linspace(0.005, 0.65, 100).tolist(), 1e-8),
+        # No LD: every power is the level, 1e-300, below the 1e-280 where
+        # format_17g leaves a value to Python's %; q1 = 1e-5 prints in
+        # scientific layout.
+        "tiny-powers": ({"axis": "q1", "delta": 0.0, "pi_hat_values": [0.1, 0.9]},
+                        [1e-5, 0.3, 0.5], 1e-300),
+        # -0.0 and 0.0 on the delta axis, powers of 1e-8, and of exactly 1.0
+        # under strong LD.
+        "signed-zero-and-one": ({"axis": "delta", "q1": 0.3, "pi_hat_values": [0.1, 0.2]},
+                                [-0.5, -0.0, 0.0, 0.5, 0.8, 0.85], 1e-8),
+    }
+
+    def run_csv(self, kwargs, values, alpha, out):
+        """The CSV that ``power`` writes to ``out`` for a case."""
+        argv = list(self.BASE[:-1]) + [repr(alpha)]
+        for name in ("axis", "q1", "delta", "delta_weight"):
+            if kwargs.get(name) is not None:
+                argv += ["--" + name.replace("_", "-"), str(kwargs[name])]
+        argv += ["--values", ",".join(map(repr, values))]
+        if kwargs["pi_hat_values"] is not None:
+            argv += ["--pi-hats", ",".join(map(repr, kwargs["pi_hat_values"]))]
+        return main(argv + ["--out", out])
+
+    @pytest.mark.parametrize("block_points", [1, 4, cli.POWER_BLOCK_POINTS])
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_csv_bytes_equal_reference(self, case, to_file, block_points, tmp_path, capsys,
@@ -808,17 +875,29 @@ class TestPowerWriterMatchesPointLoop:
         if case in ("q1", "delta"):
             assert [p.feasible for p in points[::2]] == [False, False, True, True, True,
                                                          False, False]
-        argv = list(self.BASE)
-        for name in ("axis", "q1", "delta", "delta_weight"):
-            if kwargs.get(name) is not None:
-                argv += ["--" + name.replace("_", "-"), str(kwargs[name])]
-        argv += ["--values", ",".join(map(repr, values))]
-        if kwargs["pi_hat_values"] is not None:
-            argv += ["--pi-hats", ",".join(map(repr, kwargs["pi_hat_values"]))]
         out = tmp_path / "power.csv"
-        assert main(argv + ["--out", str(out) if to_file else "-"]) == 0
+        assert self.run_csv(kwargs, values, 1e-8, str(out) if to_file else "-") == 0
         text = out.read_text(encoding="utf-8") if to_file else capsys.readouterr().out
         assert text == reference_power_csv(points, kwargs["axis"])
+
+    @pytest.mark.parametrize("block_points", [1, 4, cli.POWER_BLOCK_POINTS])
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_edge_csv_bytes_equal_reference(self, case, block_points, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "POWER_BLOCK_POINTS", block_points)
+        kwargs, values, alpha = self.EDGE_CASES[case]
+        points = reference_grid(self.MODEL, self.DESIGN, values=values, alpha=alpha, **kwargs)
+        powers = [p.power_w for p in points if p.feasible]
+        if case == "all-infeasible-blocks":
+            assert [p.feasible for p in points[:8]] == [False] * 8
+        elif case == "three-pi-hats":
+            assert {p.feasible for p in points[255:]} == {False, True}
+        elif case == "tiny-powers":
+            assert powers and all(0.0 < p < 1e-280 for p in powers)
+        else:
+            assert math.copysign(1.0, points[2].delta) == -1.0
+            assert 1.0 in powers and min(powers) < 1e-4  # scientific layout
+        assert self.run_csv(kwargs, values, alpha, "-") == 0
+        assert capsys.readouterr().out == reference_power_csv(points, kwargs["axis"])
 
 
 class TestSimulateCommand:

@@ -135,6 +135,26 @@ class TestEqualsPercentFormat:
         assert texts(values) == expected(values)
 
 
+class TestList:
+    @given(hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats(allow_subnormal=True)))
+    @example(np.array([0.0, -0.0, np.inf, -np.nan, 1e-5, 1e17, 5e-324]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_percent_format(self, values):
+        assert _format.format_17g_list(values) == expected(values)
+
+
+class TestTables:
+    def test_chunk_words_and_last_digits(self):
+        *_, chunks, last = _format._tables()
+        words = chunks.view(np.uint8).reshape(-1, 8)
+        for c in range(10_000):
+            assert bytes(words[c]) == b"".join(bytes((ord(d), 0)) for d in f"{c:04d}")
+            place = 4 - min(3, len(str(c)) - len(str(c).rstrip("0"))) if c else 0
+            assert last[:, c].tolist() == [4 * j + place if c else 0 for j in range(4)]
+        for d in range(10):  # the first digit alone, in word 0
+            assert bytes(words[10_000 + d]) == bytes(6) + bytes((ord(str(d)), 0))
+
+
 class TestFallback:
     """Python's ``%`` settles what the fast path cannot decide."""
 

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alleletest import power as power_mod
+from alleletest._normal import ndtr
 from alleletest.model import (
     DesignConstants,
     FeasibilityError,
@@ -504,6 +506,29 @@ class TestPowerGridMatchesPointwise:
                 power_grid(model, design, **kwargs)
             return
         assert grid_points(power_grid(model, design, **kwargs), kwargs["alpha"]) == expected
+
+    @pytest.mark.parametrize("kwargs", [
+        # The benchmark's sweep: 2,000 q1 coordinates, half LD-infeasible, three pi-hats.
+        {"axis": "q1", "values": np.linspace(0.001, 0.999, 2000).tolist(), "delta": 0.5,
+         "pi_hat_values": [0.05, 0.1, 0.2]},
+        {"axis": "delta_weight", "values": [0.0, 0.3, 1.0], "q1": 0.2, "delta": 0.3},
+    ], ids=["benchmark", "delta_weight"])
+    def test_one_ndtr_call_per_sweep(self, kwargs, monkeypatch):
+        model = PenetranceModel(p1=0.25, pen11=0.4, pen12=0.25, pen22=0.1)
+        design = DesignConstants(2000, 2000)
+        expected = power_grid(model, design, alpha=1e-8, **kwargs)
+        sizes = []
+
+        def counted(a):
+            sizes.append(np.size(a))
+            return ndtr(a)
+
+        monkeypatch.setattr(power_mod, "ndtr", counted)
+        powers = power_grid(model, design, alpha=1e-8, **kwargs)
+        # T, W and W_delta at the weight, and W_delta at each given pi-hat: two tails each.
+        feasible = int(powers.feasible.sum())
+        assert sizes == [2 * feasible * (3 + len(kwargs.get("pi_hat_values") or ()))]
+        assert grid_points(powers, 1e-8) == grid_points(expected, 1e-8)
 
     def test_bounds_are_feasible_within_tolerance(self):
         lo, hi = delta_bounds(0.25, 0.1)

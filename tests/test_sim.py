@@ -1,5 +1,6 @@
 """Monte Carlo engine tests: determinism, sampling laws, lattice oracle."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -386,6 +387,27 @@ class TestRunTally:
             assert len(set.union(*pairs)) == workers
             if workers == 1:
                 assert list(threads) == [threading.get_ident()]
+
+    def test_a_share_that_ends_at_once_leaves_its_thread_to_no_other(self, monkeypatch):
+        # The pool below waits after each submit until the task ends, or for at
+        # most 0.2 s, so without a start barrier share 0 would end first and
+        # share 1 would go to its idle thread.
+        class Pool(sim.ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                future = super().submit(fn, *args, **kwargs)
+                concurrent.futures.wait([future], timeout=0.2)
+                return future
+
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", Pool)
+        seen = []
+
+        def work(config, draws, share):
+            seen.append(threading.get_ident())
+            return [block for block, _, _ in share]
+
+        cfg = config(q1=0.01, reps=2 * _BLOCK, seed=24)
+        assert sim._run_shares(cfg, 2, work) == [[0], [1]]
+        assert len(seen) == 2 and len(set(seen)) == 2 and threading.get_ident() not in seen
 
     @pytest.mark.parametrize("q1, r, calls", [(0.01, 500, 1), (0.02, 100_000, 2)])
     def test_pool_is_tallied_per_block_of_tables(self, q1, r, calls, monkeypatch):
