@@ -93,25 +93,16 @@ def _check_power_args(m: float, q_ratio, alpha: float) -> None:
 
 
 # The power formulas, written once for floats and arrays alike: ``mu`` is the
-# noncentrality sqrt(m)*B*delta and ``z`` the two-sided critical value. Each
-# gives the tail arguments (lower, upper) of its power ndtr(lower) + ndtr(upper).
+# noncentrality sqrt(m)*B*delta and ``z`` the two-sided critical value.
 
 
-def _powers(*pairs) -> list:
-    """``ndtr(lower) + ndtr(upper)`` for each pair of same-shaped tail
-    arguments, in one ``ndtr`` call: it works element by element."""
-    args = [np.ravel(arg) for pair in pairs for arg in pair]
-    cdf = iter(np.split(ndtr(np.concatenate(args)), np.cumsum([a.size for a in args[:-1]])))
-    return [(next(cdf) + next(cdf)).reshape(np.shape(lower)) for lower, _ in pairs]
-
-
-def _t_tails(mu, q_ratio, z):
+def _t_power(mu, q_ratio, z):
     mu = mu * q_ratio
-    return mu - z, -z - mu
+    return ndtr(mu - z) + ndtr(-z - mu)
 
 
-def _w_tails(mu, q_ratio, z):
-    return q_ratio * (mu - z), -q_ratio * (z + mu)
+def _w_power(mu, q_ratio, z):
+    return ndtr(q_ratio * (mu - z)) + ndtr(-q_ratio * (z + mu))
 
 
 def _u_power(q_ratio, p_w, p_t):
@@ -132,18 +123,18 @@ def _mixed_product(name, weight, q1_ctrl, q1_case):
     return x
 
 
-def _w_delta_tails(sqrt_m, q1_ctrl, q1_case, g, x, z):
+def _w_delta_power(sqrt_m, q1_ctrl, q1_case, g, x, z):
     """``x`` is the :func:`_mixed_product` at the weight."""
     mu = sqrt_m * (q1_ctrl - q1_case) / np.sqrt(x)
     sigma = np.sqrt(g / x)
-    return (mu - z) / sigma, (-z - mu) / sigma
+    return ndtr((mu - z) / sigma) + ndtr((-z - mu) / sigma)
 
 
 def power_t(m: float, b: float, delta: float, q_ratio: float, alpha: float) -> float:
     """Two-sided asymptotic power of the classic statistic T."""
     _check_power_args(m, q_ratio, alpha)
     z = two_sided_critical_value(alpha)
-    return float(_powers(_t_tails(noncentrality(m, b, delta), q_ratio, z))[0])
+    return float(_t_power(noncentrality(m, b, delta), q_ratio, z))
 
 
 def power_w(m: float, b: float, delta: float, q_ratio: float, alpha: float) -> float:
@@ -154,7 +145,7 @@ def power_w(m: float, b: float, delta: float, q_ratio: float, alpha: float) -> f
     """
     _check_power_args(m, q_ratio, alpha)
     z = two_sided_critical_value(alpha)
-    return float(_powers(_w_tails(noncentrality(m, b, delta), q_ratio, z))[0])
+    return float(_w_power(noncentrality(m, b, delta), q_ratio, z))
 
 
 def power_w_delta(
@@ -181,7 +172,7 @@ def power_w_delta(
     g = variance_mixture(q1_ctrl, q1_case, design.lam)
     x = _mixed_product("delta_weight", delta_weight, q1_ctrl, q1_case)
     z = two_sided_critical_value(alpha)
-    return float(_powers(_w_delta_tails(math.sqrt(design.m), q1_ctrl, q1_case, g, x, z))[0])
+    return float(_w_delta_power(math.sqrt(design.m), q1_ctrl, q1_case, g, x, z))
 
 
 def power_u(m: float, b: float, delta: float, q_ratio: float, alpha: float) -> float:
@@ -310,19 +301,16 @@ def power_grid(
 
     z = two_sided_critical_value(alpha)
     mu = noncentrality(design.m, b_term(model), deltas[ok])
+    p_t = _t_power(mu, q_ratio, z)
+    p_w = _w_power(mu, q_ratio, z)
     sqrt_m = math.sqrt(design.m)
     g = variance_mixture(q1_ctrl, q1_case, design.lam)
-    # A misspecified prevalence estimate turns W into the mixed-weight
-    # statistic with that weight.
-    p_t, p_w, p_w_delta, p_w_given = _powers(
-        _t_tails(mu, q_ratio, z), _w_tails(mu, q_ratio, z),
-        _w_delta_tails(sqrt_m, q1_ctrl, q1_case, g, x_weights, z),
-        _w_delta_tails(sqrt_m, q1_ctrl, q1_case, g, x_pi_hats, z),
-    )
 
     power_w = np.empty((len(pi_hats), ok.size))
     power_w[:] = p_w  # W at the true prevalence, for a pi-hat of None
-    power_w[given] = p_w_given
+    # A misspecified prevalence estimate turns W into the mixed-weight
+    # statistic with that weight.
+    power_w[given] = _w_delta_power(sqrt_m, q1_ctrl, q1_case, g, x_pi_hats, z)
 
     def spread(feasible_rows):
         """Rows of the feasible coordinates, in a grid-length array of NaN."""
@@ -336,7 +324,7 @@ def power_grid(
         delta_weight=weights,
         feasible=terms.feasible,
         power_t=spread(p_t),
-        power_w_delta=spread(p_w_delta),
+        power_w_delta=spread(_w_delta_power(sqrt_m, q1_ctrl, q1_case, g, x_weights, z)),
         power_u=spread(_u_power(q_ratio, p_w, p_t)),
         pi_hats=tuple(pi if pi_hat is None else pi_hat for pi_hat in pi_hats),
         power_w=spread(power_w.T),

@@ -2,16 +2,21 @@
 
 Sampled tables rarely tie or sit on a boundary; the whole small lattice has
 every tie, every half-step table and every kind of degenerate table. The
-expected masks are written in integers, from the counts alone.
+expected masks are written in integers, from the counts alone. On the
+smallest designs every statistic is also compared with its exact-rational
+oracle.
 """
 
 import numpy as np
 import pytest
 
 from alleletest.stats import report_columns, statistic_arrays
+from oracles import exact_q_hat_delta, exact_t, exact_w_cor, exact_w_delta
 
 MAX_SIZE = 40  # cases R and controls S, so allele totals up to 80
 REPORT_MAX_SIZE = 20  # report_columns maps math over each cell: the smaller designs only
+ORACLE_MAX_SIZE = 8  # the oracles take ~40 us per table: 4,096 non-degenerate tables
+ORACLE_WEIGHT = 0.15
 Z = 1.959963984540054  # the 95% interval's quantile
 REL = 1e-12
 
@@ -75,3 +80,32 @@ def test_report_cells_are_empty_only_in_flagged_rows():
         expected[~degenerate] = 0
         assert np.array_equal(flags, expected)
         assert not np.isnan(cells[flags == 0]).any()
+
+
+@pytest.fixture(scope="module")
+def oracle_lattice():
+    """Every non-degenerate table with R, S in 1..ORACLE_MAX_SIZE as int64
+    arrays, and the exact T, W_delta and q_hat of each at ORACLE_WEIGHT,
+    which do not depend on the correction direction."""
+    tables = [np.concatenate(x) for x in zip(*_design_tables(ORACLE_MAX_SIZE))]
+    clean = ~_masks(*tables)[0]
+    r1, n1, s1, n0 = (x[clean] for x in tables)
+    cells = list(zip(r1.tolist(), (n1 - r1).tolist(), s1.tolist(), (n0 - s1).tolist()))
+    exact = {
+        "t": [exact_t(*c) for c in cells],
+        "w": [exact_w_delta(*c, ORACLE_WEIGHT) for c in cells],
+        "q_hat": [exact_q_hat_delta(*c, ORACLE_WEIGHT) for c in cells],
+    }
+    return (r1, n1, s1, n0), cells, exact
+
+
+@pytest.mark.parametrize("direction", ["toward_zero", "away_from_zero"])
+def test_every_smallest_table_matches_the_exact_oracles(oracle_lattice, direction):
+    tables, cells, exact = oracle_lattice
+    assert len(cells) == 4096
+    exact = {**exact, "w_cor": [exact_w_cor(*c, ORACLE_WEIGHT, direction) for c in cells]}
+    a = statistic_arrays(*tables, ORACLE_WEIGHT, direction=direction)
+    for name, expected in exact.items():
+        expected = np.array(expected)
+        rel = np.abs(getattr(a, name) - expected) / np.where(expected == 0.0, 1.0, np.abs(expected))
+        assert rel.max() <= REL, (name, cells[int(np.argmax(rel))])

@@ -1,6 +1,7 @@
 """Power-function tests: size, frozen anchors, orderings, grid behavior."""
 
 import math
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -8,8 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alleletest import power as power_mod
-from alleletest._normal import ndtr
 from alleletest.model import (
     DesignConstants,
     FeasibilityError,
@@ -507,29 +506,6 @@ class TestPowerGridMatchesPointwise:
             return
         assert grid_points(power_grid(model, design, **kwargs), kwargs["alpha"]) == expected
 
-    @pytest.mark.parametrize("kwargs", [
-        # The benchmark's sweep: 2,000 q1 coordinates, half LD-infeasible, three pi-hats.
-        {"axis": "q1", "values": np.linspace(0.001, 0.999, 2000).tolist(), "delta": 0.5,
-         "pi_hat_values": [0.05, 0.1, 0.2]},
-        {"axis": "delta_weight", "values": [0.0, 0.3, 1.0], "q1": 0.2, "delta": 0.3},
-    ], ids=["benchmark", "delta_weight"])
-    def test_one_ndtr_call_per_sweep(self, kwargs, monkeypatch):
-        model = PenetranceModel(p1=0.25, pen11=0.4, pen12=0.25, pen22=0.1)
-        design = DesignConstants(2000, 2000)
-        expected = power_grid(model, design, alpha=1e-8, **kwargs)
-        sizes = []
-
-        def counted(a):
-            sizes.append(np.size(a))
-            return ndtr(a)
-
-        monkeypatch.setattr(power_mod, "ndtr", counted)
-        powers = power_grid(model, design, alpha=1e-8, **kwargs)
-        # T, W and W_delta at the weight, and W_delta at each given pi-hat: two tails each.
-        feasible = int(powers.feasible.sum())
-        assert sizes == [2 * feasible * (3 + len(kwargs.get("pi_hat_values") or ()))]
-        assert grid_points(powers, 1e-8) == grid_points(expected, 1e-8)
-
     def test_bounds_are_feasible_within_tolerance(self):
         lo, hi = delta_bounds(0.25, 0.1)
         values = [lo - 2e-12, lo - 1e-12, lo, hi, hi + 1e-12, hi + 2e-12]
@@ -539,3 +515,34 @@ class TestPowerGridMatchesPointwise:
         points = grid_points(power_grid(model, DesignConstants(2000, 1500), **kwargs), 1e-8)
         assert points == reference_grid(model, DesignConstants(2000, 1500), **kwargs)
         assert [p.feasible for p in points[::2]] == [False, True, True, True, True, False]
+
+
+class TestPowerGridMemory:
+    # tracemalloc peak of one power_grid call, above what was traced before,
+    # per (coordinate x pi-hat) point, on the benchmark's sweep shape (Python
+    # 3.11, numpy 2.4): ~123 B with each formula's two normal tails evaluated
+    # by its own ndtr calls, ~255 B with every tail of the sweep concatenated
+    # into one ndtr call. The bound leaves a 1.56x margin over the first and
+    # fails the second.
+    BOUND = 192  # bytes per point
+
+    def test_peak_per_point(self):
+        model = PenetranceModel(p1=0.25, pen11=0.4, pen12=0.25, pen22=0.1)
+        kwargs = {"axis": "q1", "values": np.linspace(0.001, 0.999, 2000).tolist(),
+                  "alpha": 1e-8, "delta": 0.5, "pi_hat_values": [0.05, 0.1, 0.2]}
+        design = DesignConstants(2000, 2000)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            power_grid(model, design, **kwargs)  # first-call imports and caches
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            powers = power_grid(model, design, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert 0.4 < powers.feasible.mean() < 0.6  # about half infeasible
+        points = powers.power_w.size  # 2,000 coordinates x 3 pi-hats
+        assert peak / points < self.BOUND
