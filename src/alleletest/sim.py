@@ -22,11 +22,11 @@ aggregation uses integer counters, which are order-insensitive. One draw
 object per group (``_binomial.BinomialDraw``, numpy's ``Generator.binomial``
 replayed from Philox's raw words by table lookup where numpy inverts, or
 ``_GenotypeDraw``) writes its counts into a caller's array, and
-``_draw_block`` draws each block with them. Worker ``i`` of a run takes
-blocks ``i, i + workers, ...`` and runs each of them end to end: it draws the
-block into one pair of block-sized int64 buffers of its own, so a block
-allocates no count arrays, and tallies it. The run adds up the workers'
-integer tallies; threads share only the read-only draw objects.
+``_draw_block`` draws each block with them. Worker ``i`` of a run takes blocks
+``i, i + workers, ...``, draws each into one pair of int64 buffers of its own,
+so a block allocates no count arrays, and tallies it. Worker 0 runs on the
+calling thread, each other worker on a thread started for it; they share only
+the read-only draw objects, and the run adds up their integer tallies.
 
 Every statistic is a function of the table ``(r1, s1)`` alone, so the tally
 evaluates each distinct table once, at every weight in one kernel call, and
@@ -45,7 +45,6 @@ import math
 import operator
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Iterator
 
@@ -345,34 +344,39 @@ def _labels(config: SimConfig) -> list[tuple[str, float | None]]:
     return out
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
-
-
 def _run_shares(config: SimConfig, workers: int, work, *args) -> list:
     """``work(config, draws, share, *args)`` for each worker's share of the run's
     blocks, in worker order; ``draws`` are the run's draw objects, which the
-    workers share read-only. Worker ``i`` takes blocks ``i, i + workers, ...``; one
-    share runs on the calling thread, more run each on a thread of its own."""
+    workers share read-only. Worker ``i`` takes blocks ``i, i + workers, ...``;
+    share 0 runs on the calling thread, each other share on a thread of its own."""
+    if isinstance(workers, bool) or not hasattr(workers, "__index__"):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     draws = _make_draws(config)
     blocks = list(_blocks(config.replications))
     shares = [blocks[i::workers] for i in range(min(workers, len(blocks)))]
-    if len(shares) == 1:
-        return [work(config, draws, shares[0], *args)]
-    barrier = threading.Barrier(len(shares))  # a pool reuses idle threads
+    results, threads = [None] * len(shares), []
 
-    def run(share):
-        barrier.wait()
-        return work(config, draws, share, *args)
-
-    with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+    def run(i):
         try:
-            futures = [pool.submit(run, share) for share in shares]
-        except BaseException:
-            barrier.abort()  # a thread did not start: release those waiting
-            raise
-        return [future.result() for future in futures]
+            results[i] = work(config, draws, shares[i], *args)
+        except BaseException as exc:  # raised on the calling thread, after the joins
+            results[i] = exc
+
+    try:
+        for i in range(1, len(shares)):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
 
 
 def _count_tables(r1: np.ndarray, s1: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -457,7 +461,6 @@ def _tally_share(
 
 
 def _run(config: SimConfig, kind: str, workers: int) -> SimResult:
-    _check_workers(workers)
     start = time.perf_counter()
     labels = _labels(config)
     z_values = np.array([two_sided_critical_value(a) for a in config.alphas])
@@ -543,7 +546,6 @@ def null_distribution_sample(config: SimConfig, workers: int = 1) -> NullSample:
     the boolean mask. The output is suitable for QQ plots and tail
     diagnostics, e.g. the one-tailed departure of U where ``q_hat < 1``.
     """
-    _check_workers(workers)
     if config.marker.delta != 0.0:
         raise SimulationConfigError(
             f"null sampling requires delta=0, got {config.marker.delta!r}"

@@ -104,6 +104,22 @@ def test_cli_imports_no_scipy(tmp_path):
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
     )
+    _run_fresh(code)
+
+
+def test_cli_imports_no_thread_pool():
+    # Simulate starts its worker threads itself; no pool, and so none of the
+    # modules a pool brings in, is loaded.
+    _run_fresh(
+        "import sys\n"
+        "import alleletest.cli\n"
+        "loaded = [m for m in ('concurrent.futures', 'logging', 'queue') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+
+
+def _run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(

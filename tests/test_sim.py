@@ -1,12 +1,12 @@
 """Monte Carlo engine tests: determinism, sampling laws, lattice oracle."""
 
-import concurrent.futures
 import dataclasses
 import json
 import math
 import re
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -362,14 +362,16 @@ class TestRunTally:
         assert outputs[1:] == outputs[:1] * 2
 
     def test_each_worker_draws_its_blocks_into_one_pair(self, monkeypatch):
-        # Worker i takes blocks i, i + workers, ...; a lone worker runs on the
-        # calling thread. The drawn arrays are kept, so no freed buffer's address
-        # can come back for another pair.
+        # Worker i takes blocks i, i + workers, ...; worker 0 runs on the calling
+        # thread. Threads are told apart by their objects, which the list keeps
+        # (Python reuses get_ident() values once a thread has ended), and the
+        # drawn arrays are kept, so no freed buffer's address can come back for
+        # another pair.
         seen = []
         draw_block = sim._draw_block
 
         def recorded(config, draws, block, out):
-            seen.append((threading.get_ident(), block, out[0]))
+            seen.append((threading.current_thread(), block, out[0]))
             return draw_block(config, draws, block, out)
 
         monkeypatch.setattr(sim, "_draw_block", recorded)
@@ -385,29 +387,21 @@ class TestRunTally:
             pairs = [{address for _, address in drawn} for drawn in threads.values()]
             assert all(len(pair) == 1 for pair in pairs)
             assert len(set.union(*pairs)) == workers
-            if workers == 1:
-                assert list(threads) == [threading.get_ident()]
+            assert {block for block, _ in threads[threading.current_thread()]} == shares[0]
 
-    def test_a_share_that_ends_at_once_leaves_its_thread_to_no_other(self, monkeypatch):
-        # The pool below waits after each submit until the task ends, or for at
-        # most 0.2 s, so without a start barrier share 0 would end first and
-        # share 1 would go to its idle thread.
-        class Pool(sim.ThreadPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
-                future = super().submit(fn, *args, **kwargs)
-                concurrent.futures.wait([future], timeout=0.2)
-                return future
-
-        monkeypatch.setattr(sim, "ThreadPoolExecutor", Pool)
-        seen = []
+    def test_a_share_that_ends_at_once_leaves_its_thread_to_no_other(self):
+        # Each share's work returns at once, yet each runs on a thread of its
+        # own, share 0 on the caller's. Threads are told apart by their objects:
+        # a thread that has ended can pass its get_ident() value on.
+        seen = {}
 
         def work(config, draws, share):
-            seen.append(threading.get_ident())
+            seen[share[0][0]] = threading.current_thread()
             return [block for block, _, _ in share]
 
-        cfg = config(q1=0.01, reps=2 * _BLOCK, seed=24)
-        assert sim._run_shares(cfg, 2, work) == [[0], [1]]
-        assert len(seen) == 2 and len(set(seen)) == 2 and threading.get_ident() not in seen
+        cfg = config(q1=0.01, reps=3 * _BLOCK, seed=24)
+        assert sim._run_shares(cfg, 3, work) == [[0], [1], [2]]
+        assert len(set(seen.values())) == 3 and seen[0] is threading.current_thread()
 
     @pytest.mark.parametrize("q1, r, calls", [(0.01, 500, 1), (0.02, 100_000, 2)])
     def test_pool_is_tallied_per_block_of_tables(self, q1, r, calls, monkeypatch):
@@ -425,6 +419,59 @@ class TestRunTally:
         estimate_type1(config(q1=q1, r=r, s=r, reps=3 * _BLOCK - 5, seed=10))
         assert len(sizes) == calls
         assert sum(sizes) == 3 * _BLOCK - 5
+
+
+class TestRunShares:
+    """The runner checks the worker count, and raises a share's error only once
+    every thread it started has ended."""
+
+    @pytest.mark.parametrize("estimator", [estimate_type1, estimate_power, null_distribution_sample])
+    @pytest.mark.parametrize("workers, message", [
+        (2.5, "workers must be an integer, got 2.5"),
+        (True, "workers must be an integer, got True"),
+        ("2", "workers must be an integer, got '2'"),
+        (None, "workers must be an integer, got None"),
+        (0, "workers must be >= 1, got 0"),
+        (-1, "workers must be >= 1, got -1"),
+    ])
+    def test_workers_must_be_a_positive_integer(self, estimator, workers, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            estimator(config(reps=1000), workers=workers)
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_failing_share_raises_after_the_others_return(self, failing):
+        # Share 0 runs on the calling thread, share 1 on a thread of its own.
+        returned = threading.Event()
+
+        def work(config, draws, share):
+            if share[0][0] == failing:
+                raise KeyError(f"share {failing}")
+            time.sleep(0.05)
+            returned.set()
+
+        with pytest.raises(KeyError, match=f"share {failing}"):
+            sim._run_shares(config(q1=0.01, reps=2 * _BLOCK), 2, work)
+        assert returned.is_set()
+
+    def test_a_thread_that_fails_to_start_is_raised_once_the_started_one_ends(self, monkeypatch):
+        # The second start() fails as if the system had no thread left to give.
+        start = threading.Thread.start
+        started = []
+
+        def start_once(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_once)
+
+        def work(config, draws, share):
+            time.sleep(0.05)
+
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            sim._run_shares(config(q1=0.01, reps=3 * _BLOCK), 3, work)
+        assert len(started) == 1 and not started[0].is_alive()
 
 
 class TestDrawSeam:
