@@ -80,11 +80,12 @@ LOCALITY_NOTE = (
 )
 
 
-# Markers per block of the scan: the parse range-checks, the kernel runs on and
-# the rows are formatted for one block at a time, so the temporaries and the
-# Python ints held at any time do not grow with the file. The formatter's
-# temporaries take about 3 KiB a marker.
-SCAN_BLOCK_ROWS = 512
+# Markers per block of the scan, and power points per block of the power CSV
+# (or one coordinate where it has more pi-hats): the parse packs, the kernel
+# runs on and the rows are formatted for one block at a time, so the
+# temporaries, the Python ints and the text held at any time do not grow with
+# the input. The scan's formatter temporaries take about 3 KiB a marker.
+BLOCK_ROWS = 512
 
 
 class CountsFileError(ValueError):
@@ -104,19 +105,18 @@ def parse_counts_file(path: str) -> tuple[list[str], np.ndarray]:
     Whitespace-separated UTF-8 columns ``marker_id case_m1 case_m2 ctrl_m1
     ctrl_m2``, after an optional byte-order mark; ``#`` starts a comment line;
     the header row is required and validated. Counts are read by ``int()``.
-    Duplicate marker ids, negative counts, odd group totals and totals above
-    ``stats.MAX_ALLELE_TOTAL`` are rejected at the first offending line, with
-    the messages of :class:`~alleletest.stats.AlleleCounts`. Every
-    ``SCAN_BLOCK_ROWS`` rows the counts read are range-checked and packed into
-    int64, so Python ints and line numbers are kept for one block only.
+    Each row is checked as it is read, so the first offending line raises:
+    duplicate marker ids, negative counts, odd group totals and totals above
+    ``stats.MAX_ALLELE_TOTAL`` are rejected with the messages of
+    :class:`~alleletest.stats.AlleleCounts`. Every ``BLOCK_ROWS`` rows the
+    counts read are packed into int64, so Python ints are kept for one block
+    only.
     """
     ids: list[str] = []
     seen: set[str] = set()
     packed = array("q")  # four counts per row
-    values: list[int] = []  # the counts of the rows not yet packed, as read
-    line_nos: list[int] = []  # and their line numbers
+    values: list[int] = []  # the counts of the rows not yet packed
     header_seen = False
-    error = None
     with open(path, "rt", encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -132,66 +132,35 @@ def parse_counts_file(path: str) -> tuple[list[str], np.ndarray]:
                 header_seen = True
                 continue
             if len(fields) != 5:
-                error = CountsFileError(
-                    f"expected 5 fields, got {len(fields)}: {line!r}", line_no
-                )
-                break
+                raise CountsFileError(f"expected 5 fields, got {len(fields)}: {line!r}", line_no)
             marker_id = fields[0]
             if marker_id in seen:
-                error = CountsFileError(f"duplicate marker_id {marker_id!r}", line_no)
-                break
+                raise CountsFileError(f"duplicate marker_id {marker_id!r}", line_no)
             seen.add(marker_id)
             try:
-                values.extend([int(fields[1]), int(fields[2]), int(fields[3]), int(fields[4])])
+                r1, r2, s1, s2 = int(fields[1]), int(fields[2]), int(fields[3]), int(fields[4])
             except ValueError:
-                error = CountsFileError(f"non-integer count in {line!r}", line_no)
-                break
+                raise CountsFileError(f"non-integer count in {line!r}", line_no) from None
+            n1, n0 = r1 + r2, s1 + s2
+            # What AlleleCounts rejects, in integer operations: building one
+            # for every row would cost more than the rest of the row's parse.
+            if (r1 < 0 or r2 < 0 or s1 < 0 or s2 < 0 or n1 % 2 or n0 % 2
+                    or not 2 <= n1 <= MAX_ALLELE_TOTAL or not 2 <= n0 <= MAX_ALLELE_TOTAL):
+                try:
+                    AlleleCounts(r1, r2, s1, s2)
+                except ValueError as exc:
+                    raise CountsFileError(str(exc), line_no) from None
             ids.append(marker_id)
-            line_nos.append(line_no)
-            if len(line_nos) == SCAN_BLOCK_ROWS:
-                _pack(packed, values, line_nos)
-    _pack(packed, values, line_nos)  # a range error comes before any error on a later line
-    if error is not None:
-        raise error
+            values += (r1, r2, s1, s2)
+            if len(values) == 4 * BLOCK_ROWS:
+                packed.fromlist(values)  # each count is at most MAX_ALLELE_TOTAL
+                values.clear()
+    packed.fromlist(values)
     if not header_seen:
         raise CountsFileError("empty counts file (header row is required)")
     if not ids:
         raise CountsFileError("no marker rows found after the header")
     return ids, np.frombuffer(packed, dtype=np.int64).reshape(-1, 4)
-
-
-def _pack(packed: array, values: list[int], line_nos: list[int]) -> None:
-    """Append a block's counts to ``packed`` and empty ``values`` and
-    ``line_nos``, or raise for the block's first out-of-range row."""
-    if not values:
-        return
-    start = len(packed)
-    try:
-        packed.fromlist(values)
-    except OverflowError:  # such a count is out of range: clamp it, keeping its sign
-        packed.fromlist([min(max(v, -1), MAX_ALLELE_TOTAL + 1) for v in values])
-    block = np.frombuffer(packed, dtype=np.int64, offset=8 * start).reshape(-1, 4)
-    bad = np.flatnonzero(_out_of_range(block))
-    del block  # releases the buffer, so that packed can grow again
-    if bad.size:
-        i = int(bad[0])
-        try:
-            AlleleCounts(*values[4 * i : 4 * i + 4])
-        except ValueError as exc:
-            raise CountsFileError(str(exc), line_nos[i]) from None
-    values.clear()
-    line_nos.clear()
-
-
-def _out_of_range(counts: np.ndarray) -> np.ndarray:
-    """Mask of the ``(n, 4)`` count rows that :class:`AlleleCounts` rejects."""
-    # Each count is bounded before the totals are summed, so no sum can wrap.
-    bounded = np.clip(counts, -1, MAX_ALLELE_TOTAL + 1)
-    totals = bounded[:, 0::2] + bounded[:, 1::2]
-    return (
-        (bounded < 0).any(axis=1)
-        | ((totals < 2) | (totals % 2 == 1) | (totals > MAX_ALLELE_TOTAL)).any(axis=1)
-    )
 
 
 def _use_config(ctx: click.Context, param: click.Parameter, value: str | None):
@@ -308,21 +277,21 @@ def _scan_blocks(
     ids: list[str], counts: np.ndarray, pi_hat: float, ci_level: float, direction: str
 ) -> Iterator[str]:
     """The scan's TSV text: the header once the ranks are known, then the
-    rows of one block of ``SCAN_BLOCK_ROWS`` markers at a time.
+    rows of one block of ``BLOCK_ROWS`` markers at a time.
 
     The kernel is elementwise, so it runs per block, in two passes over the
     same blocks: the first keeps only W, for the file-wide stable ``|W|``
     rank, and the second runs the kernel again and writes each block's rows.
     """
-    blocks = range(0, len(ids), SCAN_BLOCK_ROWS)
+    blocks = range(0, len(ids), BLOCK_ROWS)
 
     def block_arrays(start):
-        r1, r2, s1, s2 = counts[start : start + SCAN_BLOCK_ROWS].T
+        r1, r2, s1, s2 = counts[start : start + BLOCK_ROWS].T
         return report_arrays(r1, r1 + r2, s1, s1 + s2, pi_hat, ci_level=ci_level, direction=direction)
 
     key = np.empty(len(ids))
     for start in blocks:
-        key[start : start + SCAN_BLOCK_ROWS] = block_arrays(start)[0].w
+        key[start : start + BLOCK_ROWS] = block_arrays(start)[0].w
     # The rank's temporaries are made in place or dropped once used: on large
     # files this step sets the scan's peak memory.
     ranked = len(ids) - np.count_nonzero(np.isnan(key))
@@ -407,14 +376,9 @@ def _default_grid(axis: str, p1: float, q1: float | None) -> list[float]:
     return list(np.linspace(0.0, 1.0, 11))
 
 
-# Power points (grid coordinates times pi-hats) per formatted block, or one
-# coordinate where it has more pi-hats. Each block is one write, so the
-# formatted text held at any time does not grow with the sweep.
-POWER_BLOCK_POINTS = 256
-
-
 def _power_blocks(powers: power_mod.PowerGrid, axis: str) -> Iterator[str]:
-    """The CSV rows of ``powers``, four per (coordinate, pi-hat) point, in blocks.
+    """The CSV rows of ``powers``, four per (coordinate, pi-hat) point, in
+    blocks of ``BLOCK_ROWS`` points.
 
     Each block's coordinates and its feasible coordinates' T, W_delta, U and
     W powers are formatted in one ``_format`` call, and the rows are laid out
@@ -455,7 +419,7 @@ def _power_blocks(powers: power_mod.PowerGrid, axis: str) -> Iterator[str]:
                 lines.append(f"{head}{pi_hat},{p_w}{tail}")
         return "".join(lines)
 
-    step = max(1, POWER_BLOCK_POINTS // len(pi_hats))
+    step = max(1, BLOCK_ROWS // len(pi_hats))
     for start in range(0, len(powers.feasible), step):
         yield block(slice(start, start + step))
 

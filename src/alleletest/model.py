@@ -49,11 +49,15 @@ __all__ = [
     "frequency_mixture",
     "variance_mixture",
     "variance_ratio",
+    "check_frequency",
     "check_weight",
+    "MAX_ALLELE_TOTAL",
 ]
 
 # Slack for floating-point round-off at the exact feasibility boundary.
 _BOUND_TOL = 1e-12
+# Largest allele total whose counts and frequencies float64 holds exactly.
+MAX_ALLELE_TOTAL = 1 << 53
 
 
 class FeasibilityError(ValueError):
@@ -62,11 +66,6 @@ class FeasibilityError(ValueError):
 
 class DegeneratePrevalenceError(ValueError):
     """Penetrance model puts everyone (or no one) into the case group."""
-
-
-def _check_freq(name: str, value: float) -> None:
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie strictly inside (0, 1), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ class PenetranceModel:
     pen22: float
 
     def __post_init__(self) -> None:
-        _check_freq("p1", self.p1)
+        check_frequency("p1", self.p1)
         for name in ("pen11", "pen12", "pen22"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -115,7 +114,7 @@ class MarkerSpec:
     delta: float
 
     def __post_init__(self) -> None:
-        _check_freq("q1", self.q1)
+        check_frequency("q1", self.q1)
         if not -1.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must lie in [-1, 1], got {self.delta!r}")
 
@@ -132,6 +131,11 @@ class DesignConstants:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        r, s = self.r_cases, self.s_controls
+        if 2 * max(r, s) > MAX_ALLELE_TOTAL:
+            raise ValueError(
+                f"design R={r}, S={s} is too large: 2R and 2S may not exceed {MAX_ALLELE_TOTAL}"
+            )
 
     @property
     def n_total(self) -> int:
@@ -182,8 +186,8 @@ def delta_bounds(p1: float, q1: float) -> tuple[float, float]:
     The interval always contains 0, and the marker can be perfectly
     correlated with the causal variant (upper bound 1) only when q1 == p1.
     """
-    _check_freq("p1", p1)
-    _check_freq("q1", q1)
+    check_frequency("p1", p1)
+    check_frequency("q1", q1)
     terms = marker_terms(p1, q1, 0.0)
     return float(terms.lo), float(terms.hi)
 
@@ -397,6 +401,12 @@ def q_term(
     check_weight("delta_weight", delta_weight)
     g = variance_mixture(summary.q1_ctrl, summary.q1_case, lam)
     return math.sqrt(frequency_mixture(summary.q1_ctrl, summary.q1_case, delta_weight) / g)
+
+
+def check_frequency(name: str, value: float) -> None:
+    """Reject a frequency outside (0, 1) (NaN included)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie strictly inside (0, 1), got {value!r}")
 
 
 def check_weight(name: str, value: float) -> None:

@@ -55,17 +55,13 @@ from .model import (
     DesignConstants,
     MarkerSpec,
     PenetranceModel,
+    check_frequency,
     check_prevalence,
     check_weight,
     haplotype_freqs,
     marker_conditional_freqs,
 )
-from .stats import (
-    MAX_ALLELE_TOTAL,
-    _check_pi_hat,
-    statistic_arrays,
-    two_sided_critical_value,
-)
+from .stats import statistic_arrays, two_sided_critical_value
 
 __all__ = [
     "SimulationConfigError",
@@ -135,7 +131,7 @@ class SimConfig:
             if isinstance(value, bool) or not hasattr(value, "__index__"):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, operator.index(value))
-        _check_pi_hat(self.pi_hat)
+        check_frequency("pi_hat", self.pi_hat)
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if self.replications < 1:
@@ -143,10 +139,9 @@ class SimConfig:
         r, s = self.design.r_cases, self.design.s_controls
         # The tally keys each table r1 * (2S + 1) + s1 in int64, which is
         # below (2R + 1) * (2S + 1).
-        if 2 * max(r, s) > MAX_ALLELE_TOTAL or (2 * r + 1) * (2 * s + 1) > np.iinfo(np.int64).max:
+        if (2 * r + 1) * (2 * s + 1) > np.iinfo(np.int64).max:
             raise ValueError(
-                f"design R={r}, S={s} is too large to simulate: 2R and 2S may not "
-                f"exceed {MAX_ALLELE_TOTAL} and (2R+1)*(2S+1) must fit in int64"
+                f"design R={r}, S={s} is too large to simulate: (2R+1)*(2S+1) must fit in int64"
             )
         if not self.alphas:
             raise ValueError("at least one significance level is required")

@@ -32,7 +32,13 @@ from typing import NamedTuple
 import numpy as np
 
 from ._normal import ndtri
-from .model import check_weight, frequency_mixture, variance_mixture
+from .model import (
+    MAX_ALLELE_TOTAL,
+    check_frequency,
+    check_weight,
+    frequency_mixture,
+    variance_mixture,
+)
 
 __all__ = [
     "DegenerateTableError",
@@ -61,8 +67,6 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 CORRECTION_DIRECTIONS = ("toward_zero", "away_from_zero")
-# Largest allele total whose counts and frequencies float64 holds exactly.
-MAX_ALLELE_TOTAL = 1 << 53
 
 
 class DegenerateTableError(ValueError):
@@ -233,11 +237,6 @@ def _require_nondegenerate(counts: AlleleCounts) -> None:
         )
 
 
-def _check_pi_hat(pi_hat: float) -> None:
-    if not 0.0 < pi_hat < 1.0:
-        raise ValueError(f"pi_hat must lie strictly inside (0, 1), got {pi_hat!r}")
-
-
 def _table_arrays(counts, weight, direction="toward_zero") -> StatArrays:
     """Kernel output for one table."""
     n1, n0 = counts.r1 + counts.r2, counts.s1 + counts.s2
@@ -282,7 +281,7 @@ def w_statistic(counts: AlleleCounts, pi_hat: float) -> float:
     Identical to :func:`w_delta_statistic` with the prevalence as weight,
     and tied to :func:`t_statistic` by ``w * q_hat == t``.
     """
-    _check_pi_hat(pi_hat)
+    check_frequency("pi_hat", pi_hat)
     return w_delta_statistic(counts, pi_hat)
 
 
@@ -326,7 +325,7 @@ def w_corrected(
     inflation of W; ``away_from_zero`` applies the opposite shift for
     sensitivity analysis.
     """
-    _check_pi_hat(pi_hat)
+    check_frequency("pi_hat", pi_hat)
     if delta_weight is None:
         delta_weight = pi_hat
     check_weight("delta_weight", delta_weight)
@@ -347,7 +346,7 @@ def q_hat_delta(counts: AlleleCounts, delta_weight: float) -> float:
 
 def q_hat(counts: AlleleCounts, pi_hat: float) -> float:
     """Sample variance ratio ``q_hat`` linking T and W: ``t == w * q_hat``."""
-    _check_pi_hat(pi_hat)
+    check_frequency("pi_hat", pi_hat)
     return q_hat_delta(counts, pi_hat)
 
 
@@ -358,7 +357,7 @@ def u_statistic(counts: AlleleCounts, pi_hat: float) -> float:
     in absolute value, so the combined test attains the better power of the
     two while staying asymptotically standard normal under no association.
     """
-    _check_pi_hat(pi_hat)
+    check_frequency("pi_hat", pi_hat)
     return _statistic(counts, pi_hat, "u")
 
 
@@ -418,7 +417,7 @@ def report_arrays(
     Takes the count arrays of :func:`statistic_arrays`. ``pi_hat`` and then
     ``ci_level`` are checked before the kernel runs.
     """
-    _check_pi_hat(pi_hat)
+    check_frequency("pi_hat", pi_hat)
     z = _ci_quantile(ci_level)
     return statistic_arrays(r1, n1, s1, n0, pi_hat, direction=direction), z
 

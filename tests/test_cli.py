@@ -243,6 +243,11 @@ class TestParseMatchesRowLoop:
     @example(f"{HEADER}\nrs1\t2\t2\t2\t2\nrs2\t{BIG}\t0\t2\t2\nrs3\t2.5\t1\t2\t2\n")
     @example(f"{HEADER}\r\nrs1\t-{BIG}\t2\t2\t2\r\nrs2\t1\t1\r\n")
     @example(f"{HEADER}\nrs1\t+5\t1_000\t1\t1\nrs1\t3\t3\t2\t2\n")
+    # The first offending line wins: a range error before a short line and
+    # before a duplicate id, and a count beyond int64 with its line.
+    @example(f"{HEADER}\nrs1\t2\t2\t2\t2\nrs2\t-1\t3\t2\t2\n\nrs3\t2\t2\t2\n")
+    @example(f"{HEADER}\nrs1\t2\t2\t2\t2\nrs2\t{2**63}\t0\t2\t2\n")
+    @example(f"{HEADER}\nrs1\t2\t2\t2\t2\nrs2\t1\t2\t2\t2\nrs1\t2\t2\t2\t2\n")
     @settings(max_examples=200, deadline=None)
     def test_same_rows_or_same_error(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("counts") / "counts.tsv"
@@ -250,8 +255,8 @@ class TestParseMatchesRowLoop:
             fh.write(text)
         assert _outcome(parse_counts_file, str(path)) == _outcome(reference_parse, str(path))
 
-    # With blocks of two rows, a file of up to ten rows is range-checked in up
-    # to five flushes.
+    # With blocks of two rows, a file of up to ten rows is packed in up to
+    # five flushes.
     @given(counts_files())
     @example(f"{HEADER}\nrs1\t2\t2\t2\t2\nrs2\t-1\t3\t2\t2\nrs3\t2\t2\t2\t2\n"
              "rs4\t2\t2\t2\t2\nrs5\t2.5\t1\t2\t2\n")
@@ -259,13 +264,20 @@ class TestParseMatchesRowLoop:
              f"rs4\t2\t2\t2\t2\nrs5\t2\t2\t-{BIG}\t2\nrs6\t2\t2\t2\t2\n")
     @example(f"{HEADER}\nrs1\t2\t2\t2\t2\nrs2\t2\t2\t2\t2\nrs3\t2\t2\t2\t2\n"
              f"rs4\t2\t2\t2\t2\nrs5\t2\t2\t2\t2\nrs6\t{BIG}\t0\t2\t2\n")
+    # The same orders in the second block.
+    @example(f"{HEADER}\nrs1\t2\t2\t2\t2\nrs2\t2\t2\t2\t2\nrs3\t-1\t3\t2\t2\n"
+             "# note\nrs4\t2\t2\t2\n")
+    @example(f"{HEADER}\nrs1\t2\t2\t2\t2\nrs2\t2\t2\t2\t2\nrs3\t2\t2\t2\t2\n"
+             f"rs4\t{2**63}\t0\t2\t2\n")
+    @example(f"{HEADER}\nrs1\t2\t2\t2\t2\nrs2\t2\t2\t2\t2\nrs3\t1\t2\t2\t2\n"
+             "rs1\t2\t2\t2\t2\n")
     @settings(max_examples=200, deadline=None)
     def test_same_rows_or_same_error_across_blocks(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("counts") / "counts.tsv"
         with open(path, "wt", encoding="utf-8", newline="") as fh:
             fh.write(text)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "SCAN_BLOCK_ROWS", 2)
+            mp.setattr(cli, "BLOCK_ROWS", 2)
             got = _outcome(parse_counts_file, str(path))
         assert got == _outcome(reference_parse, str(path))
 
@@ -321,8 +333,9 @@ class TestScanMemory:
 class TestPowerMemory:
     # tracemalloc peak of draining the power CSV's blocks, above what was traced
     # before, once a first drain has built the formatter's tables (Python 3.11,
-    # numpy 2.4): 228 KB at 6,000 points and 225 KB at 60,000, whose CSV holds
-    # 11.1 million characters; 178 and 171 KB with an f-string per cell.
+    # numpy 2.4): 481 KB at 6,000 points and 487 KB at 60,000, whose CSV holds
+    # 11.1 million characters, in blocks of 512 points; 242 and 245 KB in
+    # blocks of 256.
     MODEL = PenetranceModel(p1=0.25, pen11=0.4, pen12=0.25, pen22=0.1)
     BOUND = 1 << 20  # bytes, at any sweep length
 
@@ -418,7 +431,7 @@ class TestScanRowsMatchRowLoop:
     @pytest.mark.parametrize("block_rows, markers, key", [
         (1, 700, DEFAULTS), (7, 10_900, DEFAULTS), (1024, 10_900, DEFAULTS),
         (7, 10_900, OTHERS), (1024, 10_900, OTHERS),
-        (cli.SCAN_BLOCK_ROWS, 10_900, DEFAULTS), (cli.SCAN_BLOCK_ROWS, 10_900, OTHERS),
+        (cli.BLOCK_ROWS, 10_900, DEFAULTS), (cli.BLOCK_ROWS, 10_900, OTHERS),
     ])
     def test_tsv_bytes_equal_reference(self, varied_counts, rendered, block_rows, markers, key,
                                        tmp_path, monkeypatch):
@@ -428,7 +441,7 @@ class TestScanRowsMatchRowLoop:
         expected = rendered[markers, key]
         assert "monomorphic" in expected and "undefined_ratio" in expected
         assert "\t10000\n" in expected or markers < 10_000
-        monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
         assert self.scan_tsv(ids, rows, key, tmp_path) == expected
 
     # Equal tables have equal |W|; W = 0 ties too. Degenerate rows sit between
@@ -439,7 +452,7 @@ class TestScanRowsMatchRowLoop:
     DEGENERATE = [[0, 40, 0, 60], [30, 0, 50, 0], [0, 100, 9, 91], [9, 91, 0, 100],
                   [100, 0, 7, 93]]
 
-    @pytest.mark.parametrize("block_rows", [7, cli.SCAN_BLOCK_ROWS])
+    @pytest.mark.parametrize("block_rows", [7, cli.BLOCK_ROWS])
     @pytest.mark.parametrize("pattern, repeats", [(TIED, 75), (DEGENERATE, 120)])
     def test_tied_and_degenerate_rows_equal_reference(self, pattern, repeats, block_rows,
                                                       tmp_path, monkeypatch):
@@ -447,7 +460,7 @@ class TestScanRowsMatchRowLoop:
         ids = [f"rs{i}" for i in range(len(rows))]
         expected = reference_scan_tsv(ids, rows, *self.DEFAULTS)
         assert ("\t1\n" in expected) == (pattern is self.TIED)
-        monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
         assert self.scan_tsv(ids, rows, self.DEFAULTS, tmp_path) == expected
 
     @staticmethod
@@ -837,11 +850,11 @@ class TestPowerWriterMatchesPointLoop:
         # coordinates only, and so does every block of one coordinate.
         "all-infeasible-blocks": ({"axis": "q1", "delta": 0.5, "pi_hat_values": [0.05, 0.2]},
                                   [0.01, 0.02, 0.03, 0.04, 0.3, 0.9, 0.95], 1e-8),
-        # Three pi-hats: 85 coordinates a block at the default size, so the
-        # last block of 100 coordinates is partial and holds coordinates of
+        # Three pi-hats: 170 coordinates a block at the default size, so the
+        # last block of 200 coordinates is partial and holds coordinates of
         # both kinds; 1 coordinate a block at 4 points.
         "three-pi-hats": ({"axis": "q1", "delta": 0.5, "pi_hat_values": [0.05, 0.1, 0.2]},
-                          np.linspace(0.005, 0.65, 100).tolist(), 1e-8),
+                          np.linspace(0.005, 0.65, 200).tolist(), 1e-8),
         # No LD: every power is the level, 1e-300, below the 1e-280 where
         # format_17g leaves a value to Python's %; q1 = 1e-5 prints in
         # scientific layout.
@@ -864,12 +877,12 @@ class TestPowerWriterMatchesPointLoop:
             argv += ["--pi-hats", ",".join(map(repr, kwargs["pi_hat_values"]))]
         return main(argv + ["--out", out])
 
-    @pytest.mark.parametrize("block_points", [1, 4, cli.POWER_BLOCK_POINTS])
+    @pytest.mark.parametrize("block_points", [1, 4, cli.BLOCK_ROWS])
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_csv_bytes_equal_reference(self, case, to_file, block_points, tmp_path, capsys,
                                        monkeypatch):
-        monkeypatch.setattr(cli, "POWER_BLOCK_POINTS", block_points)
+        monkeypatch.setattr(cli, "BLOCK_ROWS", block_points)
         kwargs, values = self.CASES[case]
         points = reference_grid(self.MODEL, self.DESIGN, values=values, alpha=1e-8, **kwargs)
         if case in ("q1", "delta"):
@@ -880,17 +893,17 @@ class TestPowerWriterMatchesPointLoop:
         text = out.read_text(encoding="utf-8") if to_file else capsys.readouterr().out
         assert text == reference_power_csv(points, kwargs["axis"])
 
-    @pytest.mark.parametrize("block_points", [1, 4, cli.POWER_BLOCK_POINTS])
+    @pytest.mark.parametrize("block_points", [1, 4, cli.BLOCK_ROWS])
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))
     def test_edge_csv_bytes_equal_reference(self, case, block_points, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "POWER_BLOCK_POINTS", block_points)
+        monkeypatch.setattr(cli, "BLOCK_ROWS", block_points)
         kwargs, values, alpha = self.EDGE_CASES[case]
         points = reference_grid(self.MODEL, self.DESIGN, values=values, alpha=alpha, **kwargs)
         powers = [p.power_w for p in points if p.feasible]
         if case == "all-infeasible-blocks":
             assert [p.feasible for p in points[:8]] == [False] * 8
         elif case == "three-pi-hats":
-            assert {p.feasible for p in points[255:]} == {False, True}
+            assert {p.feasible for p in points[510:]} == {False, True}
         elif case == "tiny-powers":
             assert powers and all(0.0 < p < 1e-280 for p in powers)
         else:
@@ -1357,3 +1370,23 @@ class TestExitCodes:
     def test_help(self, capsys):
         assert main(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
+
+    # R/N rounds to 1 and 2R*S/N overflows float64 at 10**400; at 2**52 + 1,
+    # 2R is beyond the integers float64 holds exactly.
+    @pytest.mark.parametrize("r", [str(10**400), str(2**52 + 1)], ids=["10**400", "2**52+1"])
+    @pytest.mark.parametrize("argv", [
+        ["power", "--p1", "0.1", "--pen", "0.6,0.35,0.1", "--delta", "0.3", "--s", "500",
+         "--alpha", "1e-8"],
+        ["model", "--p1", "0.1", "--pen", "0.6,0.35,0.1", "--q1", "0.1"],
+    ], ids=["power", "model"])
+    def test_design_too_large_is_validation_error(self, argv, r, capsys):
+        assert main([*argv, "--r", r]) == 1
+        assert capsys.readouterr().err.startswith("error: design R=")
+
+    def test_interrupt_is_aborted(self, counts_file, monkeypatch, capsys):
+        def interrupt(path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "parse_counts_file", interrupt)
+        assert main(["scan", "--counts", counts_file, "--pi-hat", "0.1"]) == 1
+        assert "aborted" in capsys.readouterr().err

@@ -79,7 +79,7 @@ def test_output_matches_golden_file(name, tmp_path, capsys):
 @pytest.mark.parametrize("name", ["scan_toward_zero.tsv", "scan_away_from_zero.tsv"])
 def test_scan_output_does_not_depend_on_block_size(name, tmp_path, monkeypatch, capsys):
     # 299 rows make 42 blocks of 7 and a last block of 5
-    monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", 7)
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
     expected = (DATA / name).read_text(encoding="utf-8")
     assert _run(name, tmp_path / name) == expected
 
