@@ -11,7 +11,7 @@ import json
 import os
 import sys
 from array import array
-from itertools import repeat
+from itertools import islice, repeat
 from typing import IO, Iterator
 
 import click
@@ -81,11 +81,17 @@ LOCALITY_NOTE = (
 
 
 # Markers per block of the scan, and power points per block of the power CSV
-# (or one coordinate where it has more pi-hats): the parse packs, the kernel
+# (or one coordinate where it has more pi-hats): the parse reads, the kernel
 # runs on and the rows are formatted for one block at a time, so the
 # temporaries, the Python ints and the text held at any time do not grow with
 # the input. The scan's formatter temporaries take about 3 KiB a marker.
 BLOCK_ROWS = 512
+
+# A canonical counts file's first line, and the bytes its rows may hold: tab,
+# LF and printable ASCII but space and "#". Of these, str.split splits at tab
+# and LF alone, and text mode ends lines at LF alone.
+_CANONICAL_HEADER = ("\t".join(COUNTS_HEADER) + "\n").encode()
+_CANONICAL_BYTES = bytes([9, 10, *range(0x21, 0x7F)]).replace(b"#", b"")
 
 
 class CountsFileError(ValueError):
@@ -105,13 +111,77 @@ def parse_counts_file(path: str) -> tuple[list[str], np.ndarray]:
     Whitespace-separated UTF-8 columns ``marker_id case_m1 case_m2 ctrl_m1
     ctrl_m2``, after an optional byte-order mark; ``#`` starts a comment line;
     the header row is required and validated. Counts are read by ``int()``.
-    Each row is checked as it is read, so the first offending line raises:
-    duplicate marker ids, negative counts, odd group totals and totals above
+    Duplicate marker ids, negative counts, odd group totals and totals above
     ``stats.MAX_ALLELE_TOTAL`` are rejected with the messages of
-    :class:`~alleletest.stats.AlleleCounts`. Every ``BLOCK_ROWS`` rows the
-    counts read are packed into int64, so Python ints are kept for one block
-    only.
+    :class:`~alleletest.stats.AlleleCounts`, at the first offending line.
+
+    A canonical file (the header, then rows of an ASCII id and four digit
+    counts, tab-separated, each ending in LF) is read in numpy, one block of
+    ``BLOCK_ROWS`` lines at a time. Any other file, or one with an invalid row,
+    is read again from its start by the row loop, which words the errors.
     """
+    return _parse_canonical(path) or _parse_rows(path)
+
+
+def _parse_canonical(path: str) -> tuple[list[str], np.ndarray] | None:
+    """The ids and counts of a canonical, valid counts file; else None."""
+    ids: list[str] = []
+    packed = array("q")  # four counts per row
+    with open(path, "rb") as fh:
+        if fh.readline() != _CANONICAL_HEADER:
+            return None
+        while lines := list(islice(fh, BLOCK_ROWS)):
+            block = _canonical_block(b"".join(lines), len(lines))
+            if block is None:
+                return None
+            ids += block[0]
+            packed.frombytes(block[1].tobytes())
+    # Two equal hashes, of a duplicate id or not, leave the file to the row
+    # loop; sorted hashes take a fraction of the memory of a set of the ids.
+    hashes = np.sort(np.fromiter(map(hash, ids), dtype=np.int64, count=len(ids)))
+    if not ids or (hashes[1:] == hashes[:-1]).any():
+        return None
+    return ids, np.frombuffer(packed, dtype=np.int64).reshape(-1, 4)
+
+
+def _canonical_block(block: bytes, n: int) -> tuple[list[str], np.ndarray] | None:
+    """The ids and ``(n, 4)`` counts of ``n`` lines, if each is an id of
+    ``_CANONICAL_BYTES``, four times a tab and a count of 1-18 digits, and LF,
+    and every group total is valid; else None. Text mode, ``str.split`` and
+    ``int()`` read such lines as these ids and counts."""
+    if block.translate(None, _CANONICAL_BYTES):
+        return None
+    codes = np.frombuffer(block, dtype=np.uint8)
+    cuts = np.flatnonzero(codes <= 10)  # the tabs and LFs
+    # The n lines hold at most n LFs, so if every fifth of 5n cuts is one,
+    # each line ends in an LF and holds exactly four tabs.
+    if cuts.size != 5 * n or (codes[cuts[4::5]] != 10).any():
+        return None
+    widths = np.diff(cuts, prepend=-1).reshape(n, 5)  # each field and its cut
+    if (widths < 2).any() or (widths[:, 1:] > 19).any():
+        return None
+    # Each id runs from its line's start to its first tab. The ids blanked
+    # leave the counts, which must be digits, and the counts blanked the ids.
+    edges = np.zeros(codes.size, dtype=np.int8)
+    edges[0] = 1
+    edges[cuts[4:-1:5] + 1] = 1
+    edges[cuts[::5]] = -1
+    in_id = np.cumsum(edges, dtype=np.int8).view(bool)
+    cells, names = codes.copy(), codes.copy()
+    cells[in_id] = names[~in_id] = ord(" ")
+    cells = cells.tobytes()
+    if cells.translate(None, b"0123456789\t\n "):
+        return None
+    counts = np.fromstring(cells, dtype=np.int64, sep=" ").reshape(n, 4)
+    totals = counts[:, 0::2] + counts[:, 1::2]
+    if ((totals % 2 != 0) | (totals < 2) | (totals > MAX_ALLELE_TOTAL)).any():
+        return None
+    return names.tobytes().decode("ascii").split(), counts
+
+
+def _parse_rows(path: str) -> tuple[list[str], np.ndarray]:
+    """The row loop: each row is checked as it is read, and the counts of
+    every ``BLOCK_ROWS`` rows are packed, so Python ints are kept for one block."""
     ids: list[str] = []
     seen: set[str] = set()
     packed = array("q")  # four counts per row

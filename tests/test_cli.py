@@ -293,13 +293,136 @@ def _random_counts_text(n: int, seed: int) -> str:
     return HEADER + "\n" + "".join(f"rs{i}\t{a}\t{b}\t{c}\t{d}\n" for i, (a, b, c, d) in enumerate(rows))
 
 
+def _tabbed(fields):
+    return "\t".join(fields)
+
+
+def _with_count(fields, text):
+    """A row's fields with its first count replaced by ``text``."""
+    return _tabbed([fields[0], text, *fields[2:]]) + "\n"
+
+
+# One change to one marker row of a canonical file, from the row's fields and
+# an id that an earlier row holds, to the text that replaces the row.
+LINE_PERTURBATIONS = {
+    "space separator": lambda f, dup: f"{f[0]} {_tabbed(f[1:])}\n",
+    "form feed separator": lambda f, dup: f"{f[0]}\t{f[1]}\x0c{_tabbed(f[2:])}\n",
+    "space in id": lambda f, dup: f"{f[0]} x\t{_tabbed(f[1:])}\n",
+    "empty id": lambda f, dup: f"\t{_tabbed(f[1:])}\n",
+    "empty field": lambda f, dup: f"{f[0]}\t\t{_tabbed(f[1:])}\n",
+    "trailing tab": lambda f, dup: _tabbed(f) + "\t\n",
+    "crlf": lambda f, dup: _tabbed(f) + "\r\n",
+    "lone cr": lambda f, dup: _tabbed(f) + "\r",
+    "hash id": lambda f, dup: "#" + _tabbed(f) + "\n",
+    "comment line": lambda f, dup: "# note\n" + _tabbed(f) + "\n",
+    "blank line": lambda f, dup: "\n" + _tabbed(f) + "\n",
+    "leading zeros": lambda f, dup: _with_count(f, "000" + f[1]),
+    "plus sign": lambda f, dup: _with_count(f, "+" + f[1]),
+    "minus sign": lambda f, dup: _with_count(f, "-" + f[1]),
+    "19 digits": lambda f, dup: _with_count(f, f[1].zfill(19)),
+    "20 digits": lambda f, dup: _with_count(f, f[1].zfill(20)),
+    "2**63": lambda f, dup: _with_count(f, str(2**63)),
+    "2**64": lambda f, dup: _with_count(f, str(2**64)),
+    "odd total": lambda f, dup: _with_count(f, str(int(f[1]) + 1)),
+    "total above 2**53": lambda f, dup: _tabbed([f[0], str(2**53 + 2), "0", *f[3:]]) + "\n",
+    "zero total": lambda f, dup: _tabbed([f[0], "0", "0", *f[3:]]) + "\n",
+    "duplicate id": lambda f, dup: _tabbed([dup, *f[1:]]) + "\n",
+    "non-ascii id": lambda f, dup: _tabbed([f[0] + "é", *f[1:]]) + "\n",
+}
+# Changes to the whole file, wherever the changed row would be.
+FILE_PERTURBATIONS = {
+    "byte-order mark": lambda text: "\ufeff" + text,
+    "no final lf": lambda text: text[:-1],
+    "header only": lambda text: HEADER + "\n",
+}
+
+
+@st.composite
+def perturbed_canonical_files(draw, block_rows, kind, where):
+    """Text of a canonical counts file of 3-4 blocks of ``block_rows`` marker
+    rows, the last one full or partial, with one perturbation ``kind`` on a
+    row of its first, a middle or its last block."""
+    blocks = draw(st.integers(3, 4))
+    rows = (blocks - 1) * block_rows + draw(st.integers(1, block_rows))
+    lines = _random_counts_text(rows, draw(st.integers(0, 2**32 - 1))).splitlines(keepends=True)
+    if kind in FILE_PERTURBATIONS:
+        return FILE_PERTURBATIONS[kind]("".join(lines))
+    block = {"first": 0, "middle": draw(st.integers(1, blocks - 2)), "last": blocks - 1}[where]
+    at = draw(st.integers(block * block_rows, min(rows, (block + 1) * block_rows) - 1))
+    dup = lines[1 if at else 2].split("\t")[0]  # lines[0] is the header
+    lines[1 + at] = LINE_PERTURBATIONS[kind](lines[1 + at].rstrip("\n").split("\t"), dup)
+    return "".join(lines)
+
+
+@pytest.fixture
+def row_loop_calls(monkeypatch):
+    """The paths that ``parse_counts_file`` hands to its row loop."""
+    calls = []
+    row_loop = cli._parse_rows
+    monkeypatch.setattr(cli, "_parse_rows", lambda path: calls.append(path) or row_loop(path))
+    return calls
+
+
+class TestCanonicalFastPath:
+    """Canonical files are parsed per block in numpy; any other file, and any
+    canonical file that is not valid, gives the row loop's rows or error."""
+
+    @pytest.mark.parametrize("block_rows", [2, cli.BLOCK_ROWS])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("kind", [*LINE_PERTURBATIONS, *FILE_PERTURBATIONS])
+    @given(data=st.data())
+    @settings(max_examples=3, deadline=None)
+    def test_one_perturbation_gives_the_row_loops_outcome(
+        self, tmp_path_factory, block_rows, where, kind, data
+    ):
+        text = data.draw(perturbed_canonical_files(block_rows, kind, where))
+        path = tmp_path_factory.mktemp("counts") / "counts.tsv"
+        expected = path.with_name("without_bom.tsv")  # reference_parse reads no BOM
+        for name, content in ((path, text), (expected, text.removeprefix("\ufeff"))):
+            with open(name, "wt", encoding="utf-8", newline="") as fh:
+                fh.write(content)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "BLOCK_ROWS", block_rows)
+            got = _outcome(parse_counts_file, str(path))
+        assert got == _outcome(reference_parse, str(expected))
+
+    @pytest.mark.parametrize("rows", [1, 2, 511, 512, 513, 1500])
+    def test_canonical_files_never_reach_the_row_loop(self, tmp_path, row_loop_calls, rows):
+        path = tmp_path / "counts.tsv"
+        path.write_bytes(_random_counts_text(rows, seed=rows).encode())
+        assert _outcome(parse_counts_file, str(path)) == _outcome(reference_parse, str(path))
+        assert row_loop_calls == []
+
+    def test_equal_hashes_of_distinct_ids_leave_the_file_to_the_row_loop(
+        self, tmp_path, monkeypatch, row_loop_calls
+    ):
+        path = tmp_path / "counts.tsv"
+        path.write_bytes(_random_counts_text(600, seed=4).encode())
+        monkeypatch.setattr(cli, "hash", lambda marker_id: 0, raising=False)
+        assert _outcome(parse_counts_file, str(path)) == _outcome(reference_parse, str(path))
+        assert row_loop_calls == [str(path)]
+
+    def test_a_crlf_copy_reaches_the_row_loop_with_the_same_result(self, tmp_path, row_loop_calls):
+        text = _random_counts_text(1500, seed=3)
+        canonical, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+        canonical.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        ids, counts = parse_counts_file(str(canonical))
+        assert row_loop_calls == []
+        crlf_ids, crlf_counts = parse_counts_file(str(crlf))
+        assert row_loop_calls == [str(crlf)]
+        assert crlf_ids == ids and np.array_equal(crlf_counts, counts)
+
+
 class TestScanMemory:
     # tracemalloc peak of the parse and the drained scan blocks, above what was
     # traced before, on this file (Python 3.11, numpy 2.4): 443 B/marker with
     # the whole file parsed into Python int lists and one kernel call over it;
     # 229 B/marker with the counts packed as they are read and the kernel run
-    # per block. The ids themselves take ~70 B/marker. The parse sets that
-    # peak, so the scan's own peak above what the parse holds is bounded too:
+    # per block, where the row loop's set of the ids made the parse set it;
+    # 207 B/marker with this canonical file parsed in numpy, whose parse
+    # peaks at 114 B/marker, so that the scan sets it. The ids themselves
+    # take ~70 B/marker. The scan's own peak above what the parse holds:
     # 110 B/marker with every block's kernel outputs kept for the rank, and
     # 109 with W alone kept, where one block's formatting sets it.
     MARKERS = 20_000
