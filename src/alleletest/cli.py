@@ -180,12 +180,10 @@ def _canonical_block(block: bytes, n: int) -> tuple[list[str], np.ndarray] | Non
 
 
 def _parse_rows(path: str) -> tuple[list[str], np.ndarray]:
-    """The row loop: each row is checked as it is read, and the counts of
-    every ``BLOCK_ROWS`` rows are packed, so Python ints are kept for one block."""
+    """The row loop: each row is checked and its counts packed as it is read."""
     ids: list[str] = []
     seen: set[str] = set()
     packed = array("q")  # four counts per row
-    values: list[int] = []  # the counts of the rows not yet packed
     header_seen = False
     with open(path, "rt", encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -221,11 +219,7 @@ def _parse_rows(path: str) -> tuple[list[str], np.ndarray]:
                 except ValueError as exc:
                     raise CountsFileError(str(exc), line_no) from None
             ids.append(marker_id)
-            values += (r1, r2, s1, s2)
-            if len(values) == 4 * BLOCK_ROWS:
-                packed.fromlist(values)  # each count is at most MAX_ALLELE_TOTAL
-                values.clear()
-    packed.fromlist(values)
+            packed.extend((r1, r2, s1, s2))  # each count is at most MAX_ALLELE_TOTAL
     if not header_seen:
         raise CountsFileError("empty counts file (header row is required)")
     if not ids:

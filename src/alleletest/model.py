@@ -129,7 +129,7 @@ class DesignConstants:
     def __post_init__(self) -> None:
         for name in ("r_cases", "s_controls"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         r, s = self.r_cases, self.s_controls
         if 2 * max(r, s) > MAX_ALLELE_TOTAL:

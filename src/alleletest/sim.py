@@ -22,11 +22,12 @@ aggregation uses integer counters, which are order-insensitive. One draw
 object per group (``_binomial.BinomialDraw``, numpy's ``Generator.binomial``
 replayed from Philox's raw words by table lookup where numpy inverts, or
 ``_GenotypeDraw``) writes its counts into a caller's array, and
-``_draw_block`` draws each block with them. Worker ``i`` of a run takes blocks
-``i, i + workers, ...``, draws each into one pair of int64 buffers of its own,
-so a block allocates no count arrays, and tallies it. Worker 0 runs on the
-calling thread, each other worker on a thread started for it; they share only
-the read-only draw objects, and the run adds up their integer tallies.
+``_draw_block`` draws each block with them. Worker ``i`` of a run takes the
+block indices ``range(i, blocks, workers)``, draws each block into one pair of
+int64 buffers of its own, so a block allocates no count arrays, and tallies
+it. Worker 0 runs on the calling thread, each other worker on a thread started
+for it; they share only the read-only draw objects, and the run adds up their
+integer tallies.
 
 Every statistic is a function of the table ``(r1, s1)`` alone, so the tally
 evaluates each distinct table once, at every weight in one kernel call, and
@@ -46,7 +47,6 @@ import operator
 import threading
 import time
 from dataclasses import asdict, dataclass, fields
-from typing import Iterator
 
 import numpy as np
 
@@ -254,13 +254,6 @@ def _stream(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _blocks(replications: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (block index, start, size) covering all replications."""
-    for b in range(0, (replications + _BLOCK - 1) // _BLOCK):
-        start = b * _BLOCK
-        yield b, start, min(_BLOCK, replications - start)
-
-
 def genotype_distributions(
     model: PenetranceModel, marker: MarkerSpec
 ) -> GenotypeDistributions:
@@ -318,11 +311,13 @@ def _make_draws(config: SimConfig) -> tuple:
 
 
 def _draw_block(
-    config: SimConfig, draws: tuple, block: int, out: tuple[np.ndarray, np.ndarray]
+    config: SimConfig, draws: tuple, block: int, pair: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The M1 counts ``(r1, s1)`` of one block, drawn into ``out``'s two int64
-    arrays of the block's size: cases, then controls, on its stream."""
+    """The M1 counts ``(r1, s1)`` of one block, drawn into the front of the two
+    rows of the int64 ``pair``: cases, then controls, on the block's stream."""
+    size = min(_BLOCK, config.replications - block * _BLOCK)
     gen = _stream(config.seed, block)
+    out = pair[0, :size], pair[1, :size]
     for draw, counts in zip(draws, out):
         draw(gen, counts)
     return out
@@ -342,15 +337,15 @@ def _labels(config: SimConfig) -> list[tuple[str, float | None]]:
 def _run_shares(config: SimConfig, workers: int, work, *args) -> list:
     """``work(config, draws, share, *args)`` for each worker's share of the run's
     blocks, in worker order; ``draws`` are the run's draw objects, which the
-    workers share read-only. Worker ``i`` takes blocks ``i, i + workers, ...``;
+    workers share read-only. Worker ``i``'s share is ``range(i, blocks, workers)``;
     share 0 runs on the calling thread, each other share on a thread of its own."""
     if isinstance(workers, bool) or not hasattr(workers, "__index__"):
         raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     draws = _make_draws(config)
-    blocks = list(_blocks(config.replications))
-    shares = [blocks[i::workers] for i in range(min(workers, len(blocks)))]
+    blocks = -(-config.replications // _BLOCK)
+    shares = [range(i, blocks, workers) for i in range(min(workers, blocks))]
     results, threads = [None] * len(shares), []
 
     def run(i):
@@ -426,7 +421,7 @@ def _tally_tables(
 def _tally_share(
     config: SimConfig,
     draws: tuple,
-    share: list[tuple[int, int, int]],
+    share: range,
     labels: list[tuple[str, float | None]],
     z_values: np.ndarray,
 ) -> tuple[np.ndarray, int]:
@@ -434,13 +429,13 @@ def _tally_share(
     ``share`` of the blocks, each drawn into the same pair of int64 buffers. The
     pool of the blocks' tables is tallied, each distinct table once, when it holds
     ``_BLOCK`` entries and after the share's last block; the int64 sums are exact."""
-    pair = np.empty((2, share[0][2]), dtype=np.int64)  # the first block is the largest
+    pair = np.empty((2, min(_BLOCK, config.replications)), dtype=np.int64)
     width = 2 * config.design.s_controls + 1
     total = np.zeros((len(labels), len(z_values)), dtype=np.int64)
     degenerate = 0
     pool = []
-    for i, (block, _, size) in enumerate(share, 1):
-        r1, s1 = _draw_block(config, draws, block, (pair[0, :size], pair[1, :size]))
+    for i, block in enumerate(share, 1):
+        r1, s1 = _draw_block(config, draws, block, pair)
         pool.append(_count_tables(r1, s1, width))
         if i < len(share) and sum(k.size for k, _ in pool) < _BLOCK:
             continue
@@ -520,18 +515,17 @@ def estimate_power(config: SimConfig, workers: int = 1) -> SimResult:
     return _run(config, "power", workers)
 
 
-def _fill_share(
-    config: SimConfig, draws: tuple, share: list[tuple[int, int, int]], sample: NullSample
-) -> None:
+def _fill_share(config: SimConfig, draws: tuple, share: range, sample: NullSample) -> None:
     """Write the statistics of one worker's ``share`` of the blocks, each drawn
     into the same pair of int64 buffers, into their slices of ``sample``."""
-    pair = np.empty((2, share[0][2]), dtype=np.int64)  # the first block is the largest
+    pair = np.empty((2, min(_BLOCK, config.replications)), dtype=np.int64)
     n1, n0 = 2 * config.design.r_cases, 2 * config.design.s_controls
-    for block, start, size in share:
-        r1, s1 = _draw_block(config, draws, block, (pair[0, :size], pair[1, :size]))
+    for block in share:
+        r1, s1 = _draw_block(config, draws, block, pair)
         arrays = statistic_arrays(r1, n1, s1, n0, config.pi_hat)
+        start = block * _BLOCK
         for field in fields(NullSample):
-            getattr(sample, field.name)[start:start + size] = getattr(arrays, field.name)
+            getattr(sample, field.name)[start:start + r1.size] = getattr(arrays, field.name)
 
 
 def null_distribution_sample(config: SimConfig, workers: int = 1) -> NullSample:

@@ -90,7 +90,7 @@ class AlleleCounts:
     def __post_init__(self) -> None:
         for name in ("r1", "r2", "s1", "s2"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
         for label, total in (("case", self.r1 + self.r2), ("control", self.s1 + self.s2)):
             if total < 2 or total % 2:

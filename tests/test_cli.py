@@ -7,6 +7,7 @@ import os
 import sys
 import tracemalloc
 
+import click
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
@@ -255,8 +256,8 @@ class TestParseMatchesRowLoop:
             fh.write(text)
         assert _outcome(parse_counts_file, str(path)) == _outcome(reference_parse, str(path))
 
-    # With blocks of two rows, a file of up to ten rows is packed in up to
-    # five flushes.
+    # With blocks of two rows, the canonical reader reads a file of up to ten
+    # rows in up to five blocks of lines.
     @given(counts_files())
     @example(f"{HEADER}\nrs1\t2\t2\t2\t2\nrs2\t-1\t3\t2\t2\nrs3\t2\t2\t2\t2\n"
              "rs4\t2\t2\t2\t2\nrs5\t2.5\t1\t2\t2\n")
@@ -1513,3 +1514,14 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "parse_counts_file", interrupt)
         assert main(["scan", "--counts", counts_file, "--pi-hat", "0.1"]) == 1
         assert "aborted" in capsys.readouterr().err
+
+    def test_click_exception_exits_with_its_own_code(self, counts_file, monkeypatch, capsys):
+        class Refused(click.ClickException):
+            exit_code = 4
+
+        def refuse(path):
+            raise Refused("counts refused")
+
+        monkeypatch.setattr(cli, "parse_counts_file", refuse)
+        assert main(["scan", "--counts", counts_file, "--pi-hat", "0.1"]) == 4
+        assert capsys.readouterr().err == "Error: counts refused\n"

@@ -329,3 +329,9 @@ class TestDesignConstants:
             DesignConstants(0, 10)
         with pytest.raises(ValueError):
             DesignConstants(10, -1)
+
+    @pytest.mark.parametrize("r, s, name", [(True, 50, "r_cases"), (50, True, "s_controls")])
+    def test_bool_sizes_rejected(self, r, s, name):
+        # True == 1, but a design of one case would be recorded as "r_cases": true.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got True$"):
+            DesignConstants(r, s)

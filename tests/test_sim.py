@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from alleletest.sim import (
     ALL_TESTS,
     SimConfig,
     SimulationConfigError,
-    _blocks,
     _draw_block,
     _labels,
     _make_draws,
@@ -80,13 +80,19 @@ def config(q1=0.10, delta=0.0, r=500, s=500, reps=100_000, alphas=(1e-3,), seed=
     )
 
 
+def _blocks(reps):
+    """(block index, size) of each block of a run of ``reps`` replications."""
+    return [(b, min(_BLOCK, reps - b * _BLOCK)) for b in range(-(-reps // _BLOCK))]
+
+
 def block_arrays(size):
-    """Fresh int64 arrays for one block's case and control counts."""
-    return np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    """A fresh int64 pair for up to ``size`` of a block's case and control counts."""
+    return np.empty((2, size), dtype=np.int64)
 
 
 def draw(cfg, size, block=0):
-    """A block of a run of ``cfg``: its case and control M1 counts."""
+    """The case and control M1 counts of block ``block`` of a run of ``cfg``,
+    at most ``size`` of each."""
     return _draw_block(cfg, _make_draws(cfg), block, block_arrays(size))
 
 
@@ -120,7 +126,7 @@ class TestDrawCounts:
 
     def test_mean_matches_binomial_moments(self):
         # delta 0.3 puts the case M1 frequency at 0.145
-        n = 100_000
+        n = _BLOCK  # a block holds at most _BLOCK draws
         r1, _ = draw(config(delta=0.3, r=100, s=100, seed=42), n)
         expected = 200 * 0.145
         se = math.sqrt(200 * 0.145 * 0.855)
@@ -326,7 +332,7 @@ class TestRunTally:
         z_values = np.array([two_sided_critical_value(a) for a in cfg.alphas])
         want = np.zeros((len(labels), len(z_values)), dtype=np.int64)
         want_degenerate = 0
-        for block, _, size in _blocks(reps):
+        for block, size in _blocks(reps):
             rejections, degenerate = reference_tally(cfg, labels, z_values, block, size)
             want += rejections
             want_degenerate += degenerate
@@ -370,9 +376,9 @@ class TestRunTally:
         seen = []
         draw_block = sim._draw_block
 
-        def recorded(config, draws, block, out):
-            seen.append((threading.current_thread(), block, out[0]))
-            return draw_block(config, draws, block, out)
+        def recorded(config, draws, block, pair):
+            seen.append((threading.current_thread(), block, pair))
+            return draw_block(config, draws, block, pair)
 
         monkeypatch.setattr(sim, "_draw_block", recorded)
         cfg = config(q1=0.01, reps=4 * _BLOCK + 3, seed=23)
@@ -380,8 +386,8 @@ class TestRunTally:
             seen.clear()
             estimate_type1(cfg, workers=workers)
             threads = {thread: [] for thread, _, _ in seen}
-            for thread, block, counts in seen:
-                threads[thread].append((block, counts.ctypes.data))
+            for thread, block, pair in seen:
+                threads[thread].append((block, pair.ctypes.data))
             assert sorted(sorted(block for block, _ in drawn) for drawn in threads.values()) == \
                 sorted(sorted(share) for share in shares)
             pairs = [{address for _, address in drawn} for drawn in threads.values()]
@@ -396,8 +402,8 @@ class TestRunTally:
         seen = {}
 
         def work(config, draws, share):
-            seen[share[0][0]] = threading.current_thread()
-            return [block for block, _, _ in share]
+            seen[share[0]] = threading.current_thread()
+            return list(share)
 
         cfg = config(q1=0.01, reps=3 * _BLOCK, seed=24)
         assert sim._run_shares(cfg, 3, work) == [[0], [1], [2]]
@@ -444,7 +450,7 @@ class TestRunShares:
         returned = threading.Event()
 
         def work(config, draws, share):
-            if share[0][0] == failing:
+            if share[0] == failing:
                 raise KeyError(f"share {failing}")
             time.sleep(0.05)
             returned.set()
@@ -473,6 +479,22 @@ class TestRunShares:
             sim._run_shares(config(q1=0.01, reps=3 * _BLOCK), 3, work)
         assert len(started) == 1 and not started[0].is_alive()
 
+    def test_bookkeeping_does_not_grow_with_the_replications(self):
+        # Each share is a range of block indices: 1e10 replications are
+        # 152,588 blocks, handed out without a list of them.
+        def work(config, draws, share):
+            return share
+
+        cfg = config(q1=0.01, reps=10**10)
+        tracemalloc.start()
+        try:
+            shares = sim._run_shares(cfg, 2, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert shares == [range(0, 152588, 2), range(1, 152588, 2)]
+
 
 class TestDrawSeam:
     """Every block of every run is drawn by ``sim._draw_block``, the one place a
@@ -481,20 +503,20 @@ class TestDrawSeam:
     def test_every_block_goes_through_draw_block(self, monkeypatch):
         seen = []
 
-        def no_minor_alleles(config, draws, block, out):
-            size = out[0].size
+        def no_minor_alleles(config, draws, block, pair):
+            size = min(_BLOCK, config.replications - block * _BLOCK)
             seen.append((block, size))
             return np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
 
         monkeypatch.setattr(sim, "_draw_block", no_minor_alleles)
         reps = 2 * _BLOCK + 5
         result = estimate_type1(config(q1=0.01, reps=reps), workers=2)
-        assert sorted(seen) == [(b, size) for b, _, size in _blocks(reps)]
+        assert sorted(seen) == _blocks(reps)
         assert result.degenerate_replicates == reps
         assert all(c.rejections == 0 for c in result.cells)
         seen.clear()
         sample = null_distribution_sample(config(q1=0.1, reps=reps), workers=2)
-        assert sorted(seen) == [(b, size) for b, _, size in _blocks(reps)]
+        assert sorted(seen) == _blocks(reps)
         assert sample.degenerate.all()
 
 
@@ -659,7 +681,7 @@ class TestNullDistributionSample:
         cfg = config(q1=0.01, reps=3 * _BLOCK + 5, seed=45)
         samples = [null_distribution_sample(cfg, workers=workers) for workers in (1, 2)]
         r1, s1 = map(np.concatenate, zip(*(
-            draw(cfg, size, block) for block, _, size in _blocks(cfg.replications)
+            draw(cfg, size, block) for block, size in _blocks(cfg.replications)
         )))
         want = statistic_arrays(r1, 1000, s1, 1000, cfg.pi_hat)
         for sample in samples:

@@ -55,6 +55,16 @@ class TestAlleleCounts:
         with pytest.raises(ValueError):
             AlleleCounts(0, 0, 2, 2)  # case total below 2
 
+    @pytest.mark.parametrize("table, name", [
+        ((True, 1, 2, 2), "r1"), ((1, True, 2, 2), "r2"), ((2, 2, True, 1), "s1"),
+        ((2, 2, 1, True), "s2"), ((False, 2, 2, 2), "r1"),
+    ])
+    def test_bool_counts_rejected(self, table, name):
+        # A bool is an int that equals 0 or 1, but it counts no alleles.
+        value = next(v for v in table if isinstance(v, bool))
+        with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer, got {value}$"):
+            AlleleCounts(*table)
+
     def test_totals_limited_to_exact_float64_range(self):
         half = MAX_ALLELE_TOTAL // 2
         at_limit = AlleleCounts(3, 2 * half - 3, half, half)
