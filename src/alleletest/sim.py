@@ -314,7 +314,9 @@ def _draw_block(
     config: SimConfig, draws: tuple, block: int, pair: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The M1 counts ``(r1, s1)`` of one block, drawn into the front of the two
-    rows of the int64 ``pair``: cases, then controls, on the block's stream."""
+    rows of the int64 ``pair``: cases, then controls, on the block's stream.
+    ``pair`` holds ``min(_BLOCK, replications)`` columns; a narrower one draws
+    only its own width."""
     size = min(_BLOCK, config.replications - block * _BLOCK)
     gen = _stream(config.seed, block)
     out = pair[0, :size], pair[1, :size]

@@ -126,8 +126,10 @@ class TestDrawCounts:
 
     def test_mean_matches_binomial_moments(self):
         # delta 0.3 puts the case M1 frequency at 0.145
-        n = _BLOCK  # a block holds at most _BLOCK draws
-        r1, _ = draw(config(delta=0.3, r=100, s=100, seed=42), n)
+        n = 100_000
+        case, _ = _make_draws(config(delta=0.3, r=100, s=100))
+        r1 = np.empty(n, dtype=np.int64)
+        case(_stream(42, 0), r1)
         expected = 200 * 0.145
         se = math.sqrt(200 * 0.145 * 0.855)
         assert abs(r1.mean() - expected) < 4 * se / math.sqrt(n)
