@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import sys
 from array import array
 from itertools import islice, repeat
@@ -87,11 +88,14 @@ LOCALITY_NOTE = (
 # the input. The scan's formatter temporaries take about 3 KiB a marker.
 BLOCK_ROWS = 512
 
-# A canonical counts file's first line, and the bytes its rows may hold: tab,
-# LF and printable ASCII but space and "#". Of these, str.split splits at tab
-# and LF alone, and text mode ends lines at LF alone.
+# A canonical counts file's first line, and one of its rows: an id of printable
+# ASCII but space and "#", then four tab-separated counts of 1-18 digits, and
+# LF. Text mode, str.split and int() read such a row as this id and these
+# counts; 18 digits keep each count below int64's limit.
 _CANONICAL_HEADER = ("\t".join(COUNTS_HEADER) + "\n").encode()
-_CANONICAL_BYTES = bytes([9, 10, *range(0x21, 0x7F)]).replace(b"#", b"")
+_CANONICAL_ROW = re.compile(
+    rb'^([!"$-~]+)\t([0-9]{1,18}\t[0-9]{1,18}\t[0-9]{1,18}\t[0-9]{1,18})\n', re.M
+)
 
 
 class CountsFileError(ValueError):
@@ -116,8 +120,9 @@ def parse_counts_file(path: str) -> tuple[list[str], np.ndarray]:
     :class:`~alleletest.stats.AlleleCounts`, at the first offending line.
 
     A canonical file (the header, then rows of an ASCII id and four digit
-    counts, tab-separated, each ending in LF) is read in numpy, one block of
-    ``BLOCK_ROWS`` lines at a time. Any other file, or one with an invalid row,
+    counts, tab-separated, each ending in LF) is read one block of
+    ``BLOCK_ROWS`` lines at a time: one regular expression matches the rows
+    and numpy reads the counts. Any other file, or one with an invalid row,
     is read again from its start by the row loop, which words the errors.
     """
     return _parse_canonical(path) or _parse_rows(path)
@@ -131,52 +136,23 @@ def _parse_canonical(path: str) -> tuple[list[str], np.ndarray] | None:
         if fh.readline() != _CANONICAL_HEADER:
             return None
         while lines := list(islice(fh, BLOCK_ROWS)):
-            block = _canonical_block(b"".join(lines), len(lines))
-            if block is None:
+            # Each match is one whole line, so n matches mean n canonical lines.
+            rows = _CANONICAL_ROW.findall(b"".join(lines))
+            if len(rows) != len(lines):
                 return None
-            ids += block[0]
-            packed.frombytes(block[1].tobytes())
+            names, cells = zip(*rows)
+            counts = np.fromstring(b"\t".join(cells), dtype=np.int64, sep=" ")
+            totals = counts[0::2] + counts[1::2]
+            if ((totals % 2 != 0) | (totals < 2) | (totals > MAX_ALLELE_TOTAL)).any():
+                return None
+            ids += b" ".join(names).decode("ascii").split()
+            packed.frombytes(counts.tobytes())
     # Two equal hashes, of a duplicate id or not, leave the file to the row
     # loop; sorted hashes take a fraction of the memory of a set of the ids.
     hashes = np.sort(np.fromiter(map(hash, ids), dtype=np.int64, count=len(ids)))
     if not ids or (hashes[1:] == hashes[:-1]).any():
         return None
     return ids, np.frombuffer(packed, dtype=np.int64).reshape(-1, 4)
-
-
-def _canonical_block(block: bytes, n: int) -> tuple[list[str], np.ndarray] | None:
-    """The ids and ``(n, 4)`` counts of ``n`` lines, if each is an id of
-    ``_CANONICAL_BYTES``, four times a tab and a count of 1-18 digits, and LF,
-    and every group total is valid; else None. Text mode, ``str.split`` and
-    ``int()`` read such lines as these ids and counts."""
-    if block.translate(None, _CANONICAL_BYTES):
-        return None
-    codes = np.frombuffer(block, dtype=np.uint8)
-    cuts = np.flatnonzero(codes <= 10)  # the tabs and LFs
-    # The n lines hold at most n LFs, so if every fifth of 5n cuts is one,
-    # each line ends in an LF and holds exactly four tabs.
-    if cuts.size != 5 * n or (codes[cuts[4::5]] != 10).any():
-        return None
-    widths = np.diff(cuts, prepend=-1).reshape(n, 5)  # each field and its cut
-    if (widths < 2).any() or (widths[:, 1:] > 19).any():
-        return None
-    # Each id runs from its line's start to its first tab. The ids blanked
-    # leave the counts, which must be digits, and the counts blanked the ids.
-    edges = np.zeros(codes.size, dtype=np.int8)
-    edges[0] = 1
-    edges[cuts[4:-1:5] + 1] = 1
-    edges[cuts[::5]] = -1
-    in_id = np.cumsum(edges, dtype=np.int8).view(bool)
-    cells, names = codes.copy(), codes.copy()
-    cells[in_id] = names[~in_id] = ord(" ")
-    cells = cells.tobytes()
-    if cells.translate(None, b"0123456789\t\n "):
-        return None
-    counts = np.fromstring(cells, dtype=np.int64, sep=" ").reshape(n, 4)
-    totals = counts[:, 0::2] + counts[:, 1::2]
-    if ((totals % 2 != 0) | (totals < 2) | (totals > MAX_ALLELE_TOTAL)).any():
-        return None
-    return names.tobytes().decode("ascii").split(), counts
 
 
 def _parse_rows(path: str) -> tuple[list[str], np.ndarray]:

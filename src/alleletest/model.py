@@ -21,6 +21,7 @@ share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -87,9 +88,7 @@ class PenetranceModel:
     def __post_init__(self) -> None:
         check_frequency("p1", self.p1)
         for name in ("pen11", "pen12", "pen22"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+            check_weight(name, getattr(self, name))
 
     @property
     def p2(self) -> float:
@@ -129,8 +128,11 @@ class DesignConstants:
     def __post_init__(self) -> None:
         for name in ("r_cases", "s_controls"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            # Any integer, numpy's too, but a bool; stored as a Python int.
+            is_int = not isinstance(value, (bool, np.bool_)) and hasattr(value, "__index__")
+            if not is_int or operator.index(value) < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         r, s = self.r_cases, self.s_controls
         if 2 * max(r, s) > MAX_ALLELE_TOTAL:
             raise ValueError(

@@ -26,6 +26,7 @@ exactly when ``q_hat < 1``. All functions are pure and thread-safe.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -90,8 +91,11 @@ class AlleleCounts:
     def __post_init__(self) -> None:
         for name in ("r1", "r2", "s1", "s2"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            # Any integer, numpy's too, but a bool; stored as a Python int.
+            is_int = not isinstance(value, (bool, np.bool_)) and hasattr(value, "__index__")
+            if not is_int or operator.index(value) < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         for label, total in (("case", self.r1 + self.r2), ("control", self.s1 + self.s2)):
             if total < 2 or total % 2:
                 raise ValueError(

@@ -329,6 +329,11 @@ LINE_PERTURBATIONS = {
     "zero total": lambda f, dup: _tabbed([f[0], "0", "0", *f[3:]]) + "\n",
     "duplicate id": lambda f, dup: _tabbed([dup, *f[1:]]) + "\n",
     "non-ascii id": lambda f, dup: _tabbed([f[0] + "é", *f[1:]]) + "\n",
+    "three counts": lambda f, dup: _tabbed(f[:4]) + "\n",
+    "five counts": lambda f, dup: _tabbed([*f, "0"]) + "\n",
+    "18 digits": lambda f, dup: _with_count(f, f[1].zfill(18)),  # the widest canonical count
+    "unit separator in id": lambda f, dup: _tabbed([f[0] + "\x1fx", *f[1:]]) + "\n",  # str.split splits here
+    "DEL in id": lambda f, dup: _tabbed([f[0] + "\x7f", *f[1:]]) + "\n",  # the row loop accepts it
 }
 # Changes to the whole file, wherever the changed row would be.
 FILE_PERTURBATIONS = {
@@ -365,8 +370,9 @@ def row_loop_calls(monkeypatch):
 
 
 class TestCanonicalFastPath:
-    """Canonical files are parsed per block in numpy; any other file, and any
-    canonical file that is not valid, gives the row loop's rows or error."""
+    """Canonical files are matched per block by one regular expression and
+    their counts read in numpy; any other file, and any canonical file that is
+    not valid, gives the row loop's rows or error."""
 
     @pytest.mark.parametrize("block_rows", [2, cli.BLOCK_ROWS])
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -394,6 +400,17 @@ class TestCanonicalFastPath:
         assert _outcome(parse_counts_file, str(path)) == _outcome(reference_parse, str(path))
         assert row_loop_calls == []
 
+    def test_rows_at_the_edges_of_the_format_never_reach_the_row_loop(
+        self, tmp_path, row_loop_calls
+    ):
+        # Ids at the edges of the id byte class, and a count of 18 digits.
+        path = tmp_path / "counts.tsv"
+        ids = ["!", '"', "$q", "~", "12345"]
+        rows = "".join(f"{m}\t{k}\t{k + 2}\t4\t{'4'.zfill(18)}\n" for k, m in enumerate(ids))
+        path.write_bytes((HEADER + "\n" + rows).encode())
+        assert _outcome(parse_counts_file, str(path)) == _outcome(reference_parse, str(path))
+        assert row_loop_calls == []
+
     def test_equal_hashes_of_distinct_ids_leave_the_file_to_the_row_loop(
         self, tmp_path, monkeypatch, row_loop_calls
     ):
@@ -413,6 +430,13 @@ class TestCanonicalFastPath:
         crlf_ids, crlf_counts = parse_counts_file(str(crlf))
         assert row_loop_calls == [str(crlf)]
         assert crlf_ids == ids and np.array_equal(crlf_counts, counts)
+
+    def test_a_file_without_its_final_lf_reaches_the_row_loop(self, tmp_path, row_loop_calls):
+        path = tmp_path / "counts.tsv"
+        text = _random_counts_text(600, seed=5)
+        path.write_bytes(text.removesuffix("\n").encode())
+        assert _outcome(parse_counts_file, str(path)) == _outcome(reference_parse, str(path))
+        assert row_loop_calls == [str(path)]
 
 
 class TestScanMemory:

@@ -1,6 +1,9 @@
 """Population-model tests: oracle agreement, quoted values, invariants."""
 
+import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -330,8 +333,19 @@ class TestDesignConstants:
         with pytest.raises(ValueError):
             DesignConstants(10, -1)
 
-    @pytest.mark.parametrize("r, s, name", [(True, 50, "r_cases"), (50, True, "s_controls")])
+    @pytest.mark.parametrize("r, s, name", [
+        (True, 50, "r_cases"), (50, True, "s_controls"),
+        (np.True_, 50, "r_cases"), (50, np.True_, "s_controls"),
+    ])
     def test_bool_sizes_rejected(self, r, s, name):
         # True == 1, but a design of one case would be recorded as "r_cases": true.
-        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got True$"):
+        # numpy 1.24's bool has __index__ too.
+        value = r if name == "r_cases" else s
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {re.escape(repr(value))}$"):
             DesignConstants(r, s)
+
+    def test_numpy_integer_sizes_stored_as_ints(self):
+        design = DesignConstants(np.int64(500), np.uint16(300))
+        assert (design.r_cases, design.s_controls) == (500, 300)
+        assert type(design.r_cases) is int and type(design.s_controls) is int
+        assert json.dumps(dataclasses.asdict(design)) == '{"r_cases": 500, "s_controls": 300}'

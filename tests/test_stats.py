@@ -1,6 +1,7 @@
 """Statistic tests: frozen oracle values, exact identities, symmetries."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -58,12 +59,25 @@ class TestAlleleCounts:
     @pytest.mark.parametrize("table, name", [
         ((True, 1, 2, 2), "r1"), ((1, True, 2, 2), "r2"), ((2, 2, True, 1), "s1"),
         ((2, 2, 1, True), "s2"), ((False, 2, 2, 2), "r1"),
+        ((np.True_, 1, 2, 2), "r1"), ((2, 2, 1, np.True_), "s2"),
     ])
     def test_bool_counts_rejected(self, table, name):
         # A bool is an int that equals 0 or 1, but it counts no alleles.
-        value = next(v for v in table if isinstance(v, bool))
-        with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer, got {value}$"):
+        # numpy 1.24's bool has __index__ too.
+        value = next(v for v in table if isinstance(v, (bool, np.bool_)))
+        with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer, got {re.escape(repr(value))}$"):
             AlleleCounts(*table)
+
+    def test_numpy_integer_counts_stored_as_ints(self):
+        table = AlleleCounts(*np.array([5, 95, 10, 90]))
+        assert table == AlleleCounts(5, 95, 10, 90)
+        assert all(type(v) is int for v in (table.r1, table.r2, table.s1, table.s2))
+
+    def test_numpy_integer_totals_do_not_wrap(self):
+        # Summed in int64, 2**62 + 2**62 would wrap to -2**63.
+        big = np.int64(2**62)
+        with pytest.raises(ValueError, match="case allele total 9223372036854775808 exceeds"):
+            AlleleCounts(big, big, 2, 2)
 
     def test_totals_limited_to_exact_float64_range(self):
         half = MAX_ALLELE_TOTAL // 2
