@@ -26,6 +26,7 @@ from .model import (
     FeasibilityError,
     MarkerSpec,
     PenetranceModel,
+    check_frequency,
     delta_bounds,
     population_summary,
     q_term,
@@ -35,8 +36,9 @@ from .stats import (
     MAX_ALLELE_TOTAL,
     REPORT_FLAGS,
     AlleleCounts,
-    report_arrays,
+    ci_quantile,
     report_columns,
+    statistic_arrays,
 )
 from .stats import evaluate_counts  # noqa: F401 (bench/tracing.py wraps it)
 
@@ -314,24 +316,25 @@ _FIELDS = 15
 
 
 def _scan_blocks(
-    ids: list[str], counts: np.ndarray, pi_hat: float, ci_level: float, direction: str
+    ids: list[str], counts: np.ndarray, pi_hat: float, z: float, direction: str
 ) -> Iterator[str]:
     """The scan's TSV text: the header once the ranks are known, then the
-    rows of one block of ``BLOCK_ROWS`` markers at a time.
+    rows of one block of ``BLOCK_ROWS`` markers at a time. The caller has
+    checked ``pi_hat``; ``z`` is the interval's normal quantile.
 
-    The kernel is elementwise, so it runs per block, in two passes over the
-    same blocks: the first keeps only W, for the file-wide stable ``|W|``
-    rank, and the second runs the kernel again and writes each block's rows.
+    The kernel is elementwise, so it runs per block, in two passes: the
+    first keeps only W, for the file-wide stable ``|W|`` rank, and the
+    second runs the kernel again and writes each block's rows.
     """
     blocks = range(0, len(ids), BLOCK_ROWS)
 
     def block_arrays(start):
         r1, r2, s1, s2 = counts[start : start + BLOCK_ROWS].T
-        return report_arrays(r1, r1 + r2, s1, s1 + s2, pi_hat, ci_level=ci_level, direction=direction)
+        return statistic_arrays(r1, r1 + r2, s1, s1 + s2, pi_hat, direction=direction)
 
     key = np.empty(len(ids))
     for start in blocks:
-        key[start : start + BLOCK_ROWS] = block_arrays(start)[0].w
+        key[start : start + BLOCK_ROWS] = block_arrays(start).w
     # The rank's temporaries are made in place or dropped once used: on large
     # files this step sets the scan's peak memory.
     ranked = len(ids) - np.count_nonzero(np.isnan(key))
@@ -344,7 +347,7 @@ def _scan_blocks(
     del order
     yield "\t".join(SCAN_COLUMNS) + "\n"
     for start in blocks:
-        cells, flags = report_columns(*block_arrays(start))
+        cells, flags = report_columns(block_arrays(start), z)
         rows = slice(start, start + len(cells))
         yield _scan_rows(ids[rows], cells, flags, rank[rows])
 
@@ -389,8 +392,9 @@ def _scan_rows(ids: list[str], cells: np.ndarray, flags: np.ndarray, rank: np.nd
 def scan_cmd(counts, pi_hat, out, ci_level, direction, warn_locality):
     """Scan a counts table: one row of statistics and p-values per marker."""
     ids, table = parse_counts_file(counts)
-    blocks = _scan_blocks(ids, table, pi_hat, ci_level, direction)
-    header = next(blocks)  # checks the arguments before the output is opened
+    check_frequency("pi_hat", pi_hat)
+    blocks = _scan_blocks(ids, table, pi_hat, ci_quantile(ci_level), direction)
+    header = next(blocks)  # ranks the markers before the output is opened
     with _outputs(out) as (handle,):
         handle.write(header)
         handle.writelines(blocks)

@@ -82,14 +82,23 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _check_power_args(m: float, q_ratio, alpha: float) -> None:
-    """``q_ratio`` may be an array; its first non-positive entry is reported."""
-    if m <= 0.0:
+    """``q_ratio`` may be an array; its first entry not above 0 (or NaN) is reported."""
+    if not m > 0.0:
         raise ValueError(f"m must be positive, got {m!r}")
     q_ratio = np.ravel(q_ratio)
-    bad = q_ratio[q_ratio <= 0.0]
+    bad = q_ratio[~(q_ratio > 0.0)]
     if bad.size:
         raise ValueError(f"q_ratio must be positive, got {bad[0].item()!r}")
     _check_alpha(alpha)
+
+
+def _check_scalar_args(m: float, b: float, delta: float, q_ratio: float, alpha: float) -> None:
+    """The checks of :func:`power_t` and :func:`power_w`."""
+    _check_power_args(m, q_ratio, alpha)
+    if not math.isfinite(b):
+        raise ValueError(f"b must be finite, got {b!r}")
+    if not -1.0 <= delta <= 1.0:  # as MarkerSpec
+        raise ValueError(f"delta must lie in [-1, 1], got {delta!r}")
 
 
 # The power formulas, written once for floats and arrays alike: ``mu`` is the
@@ -132,7 +141,7 @@ def _w_delta_power(sqrt_m, q1_ctrl, q1_case, g, x, z):
 
 def power_t(m: float, b: float, delta: float, q_ratio: float, alpha: float) -> float:
     """Two-sided asymptotic power of the classic statistic T."""
-    _check_power_args(m, q_ratio, alpha)
+    _check_scalar_args(m, b, delta, q_ratio, alpha)
     z = two_sided_critical_value(alpha)
     return float(_t_power(noncentrality(m, b, delta), q_ratio, z))
 
@@ -143,7 +152,7 @@ def power_w(m: float, b: float, delta: float, q_ratio: float, alpha: float) -> f
     Identical to :func:`power_t` except that the rejection quantile is also
     scaled by Q, which is what frees the power from the marker frequency.
     """
-    _check_power_args(m, q_ratio, alpha)
+    _check_scalar_args(m, b, delta, q_ratio, alpha)
     z = two_sided_critical_value(alpha)
     return float(_w_power(noncentrality(m, b, delta), q_ratio, z))
 

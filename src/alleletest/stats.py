@@ -58,7 +58,7 @@ __all__ = [
     "two_sided_critical_value",
     "effect_size",
     "evaluate_counts",
-    "report_arrays",
+    "ci_quantile",
     "report_columns",
     "REPORT_FLAGS",
     "CORRECTION_DIRECTIONS",
@@ -389,7 +389,8 @@ def two_sided_critical_value(alpha: float) -> float:
     return -float(ndtri(alpha / 2.0))
 
 
-def _ci_quantile(ci_level: float) -> float:
+def ci_quantile(ci_level: float) -> float:
+    """Two-sided normal quantile of a ``ci_level`` confidence interval."""
     if not 0.0 < ci_level < 1.0:
         raise ValueError(f"ci_level must lie in (0, 1), got {ci_level!r}")
     return two_sided_critical_value(1.0 - ci_level)
@@ -406,24 +407,11 @@ def effect_size(
     normal interval on the log ratio with independent binomial variances
     ``(1-q)/(2S*q)`` and ``(1-q)/(2R*q)``.
     """
-    z = _ci_quantile(ci_level)
+    z = ci_quantile(ci_level)
     _require_nondegenerate(counts)
     cells, _ = report_columns(_table_arrays(counts, 0.5), z)  # the weight is not used
     ratio, lo, hi = cells[0, 10:].tolist()
     return ratio, lo, hi
-
-
-def report_arrays(
-    r1, n1, s1, n0, pi_hat: float, *, ci_level=0.95, direction="toward_zero"
-) -> tuple[StatArrays, float]:
-    """Kernel output for the reports of many tables, and the interval quantile.
-
-    Takes the count arrays of :func:`statistic_arrays`. ``pi_hat`` and then
-    ``ci_level`` are checked before the kernel runs.
-    """
-    check_frequency("pi_hat", pi_hat)
-    z = _ci_quantile(ci_level)
-    return statistic_arrays(r1, n1, s1, n0, pi_hat, direction=direction), z
 
 
 # The flags of a report, by the code that report_columns gives each table.
@@ -478,13 +466,11 @@ def evaluate_counts(
     Monomorphic markers are skipped (empty statistics, ``monomorphic`` flag);
     other degenerate tables get the ``degenerate`` flag and conservative
     p-values of 1.0, plus ``undefined_ratio`` when no case copy of M1 was
-    seen at all.
+    seen at all. ``pi_hat``, then ``ci_level``, are checked first.
     """
-    n1, n0 = counts.r1 + counts.r2, counts.s1 + counts.s2
-    arrays, z = report_arrays(
-        counts.r1, n1, counts.s1, n0, pi_hat, ci_level=ci_level, direction=direction
-    )
-    cells, codes = report_columns(arrays, z)
+    check_frequency("pi_hat", pi_hat)
+    z = ci_quantile(ci_level)
+    cells, codes = report_columns(_table_arrays(counts, pi_hat, direction), z)
     flags = REPORT_FLAGS[codes[0]]
     q_ctrl, q_case, t, p_t, w, p_w, w_cor, u, p_u, qh, ratio, lo, hi = (
         None if math.isnan(cell) else cell for cell in cells[0].tolist()

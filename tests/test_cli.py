@@ -24,7 +24,7 @@ from alleletest.cli import (
     parse_counts_file,
 )
 from alleletest.model import DesignConstants, PenetranceModel, delta_bounds
-from alleletest.stats import AlleleCounts, evaluate_counts
+from alleletest.stats import AlleleCounts, evaluate_counts, two_sided_critical_value
 from test_power import reference_grid
 
 VALID_FILE = """\
@@ -466,7 +466,8 @@ class TestScanMemory:
             ids, counts = parse_counts_file(str(path))
             parsed, parse_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            for _ in cli._scan_blocks(ids, counts, 0.15, 0.95, "toward_zero"):
+            z = two_sided_critical_value(0.05)
+            for _ in cli._scan_blocks(ids, counts, 0.15, z, "toward_zero"):
                 pass
             scan_peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -693,6 +694,18 @@ class TestScanCommand:
         out = tmp_path / "results.tsv"
         out.write_text("earlier results\n")
         assert main(["scan", "--counts", counts_file, *bad, "--out", str(out)]) == 1
+        assert out.read_text() == "earlier results\n"
+
+    def test_failed_rank_leaves_existing_output_untouched(self, counts_file, tmp_path, monkeypatch):
+        out = tmp_path / "results.tsv"
+        out.write_text("earlier results\n")
+
+        def argsort(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "argsort", argsort)
+        with pytest.raises(MemoryError):
+            main(["scan", "--counts", counts_file, "--pi-hat", "0.1", "--out", str(out)])
         assert out.read_text() == "earlier results\n"
 
     def test_invalid_ci_level_fails_before_any_output(self, tmp_path, capsys):

@@ -102,13 +102,33 @@ class TestFrozenAnchors:
 
 
 class TestScalarArguments:
+    @pytest.mark.parametrize("fn", [power_t, power_w, power_u])
     @pytest.mark.parametrize(
         "m, q_ratio, message",
-        [(0.0, 1.0, "m must be positive, got 0.0"), (1000.0, 0.0, "q_ratio must be positive, got 0.0")],
+        [
+            (0.0, 1.0, "m must be positive, got 0.0"),
+            (1000.0, 0.0, "q_ratio must be positive, got 0.0"),
+            (math.nan, 1.0, "m must be positive, got nan"),
+            (1000.0, math.nan, "q_ratio must be positive, got nan"),
+        ],
     )
-    def test_nonpositive_m_or_q_ratio_rejected(self, m, q_ratio, message):
+    def test_nonpositive_m_or_q_ratio_rejected(self, fn, m, q_ratio, message):
         with pytest.raises(ValueError, match=message):
-            power_t(m, 0.1, 0.3, q_ratio, 1e-8)
+            fn(m, 0.1, 0.3, q_ratio, 1e-8)
+
+    @pytest.mark.parametrize("fn", [power_t, power_w, power_u])
+    @pytest.mark.parametrize(
+        "b, delta, message",
+        [
+            (math.nan, 0.3, r"b must be finite, got nan"),
+            (math.inf, 0.3, r"b must be finite, got inf"),
+            (0.1, math.nan, r"delta must lie in \[-1, 1\], got nan"),
+            (0.1, 1.5, r"delta must lie in \[-1, 1\], got 1.5"),
+        ],
+    )
+    def test_non_finite_b_or_out_of_range_delta_rejected(self, fn, b, delta, message):
+        with pytest.raises(ValueError, match=message):
+            fn(1000.0, b, delta, 1.0, 1e-8)
 
 
 class TestOrderings:
