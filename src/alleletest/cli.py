@@ -12,7 +12,8 @@ import os
 import re
 import sys
 from array import array
-from itertools import islice, repeat
+from collections.abc import Sequence
+from itertools import islice
 from typing import IO, Iterator
 
 import click
@@ -44,6 +45,7 @@ from .stats import evaluate_counts  # noqa: F401 (bench/tracing.py wraps it)
 
 __all__ = [
     "CountsFileError",
+    "MarkerIds",
     "parse_counts_file",
     "cli",
     "main",
@@ -110,9 +112,29 @@ class CountsFileError(ValueError):
         self.line_no = line_no
 
 
-def parse_counts_file(path: str) -> tuple[list[str], np.ndarray]:
-    """Parse a marker counts table into its marker ids and an ``(n, 4)`` int64
-    array of ``case_m1 case_m2 ctrl_m1 ctrl_m2`` counts.
+class MarkerIds(Sequence[str]):
+    """Read-only marker ids: ``data`` holds their UTF-8 end to end, and ``ends``
+    each one's int64 end offset in it. An id is decoded when it is read."""
+
+    def __init__(self, data: bytes, ends: np.ndarray):
+        self.data, self.ends = data, ends
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, index: int) -> str:
+        i = range(len(self))[index]  # negative indices count from the end
+        return self.data[self.ends[i - 1] if i else 0 : self.ends[i]].decode("utf-8")
+
+    def block(self, start: int, stop: int) -> tuple[bytes, np.ndarray]:
+        """The bytes of ids ``start:stop`` (at least one) and their end offsets in them."""
+        begin = self.ends[start - 1] if start else 0
+        return self.data[begin : self.ends[stop - 1]], self.ends[start:stop] - begin
+
+
+def parse_counts_file(path: str) -> tuple[MarkerIds, np.ndarray]:
+    """Parse a marker counts table into its :class:`MarkerIds`, decoded when
+    read, and an ``(n, 4)`` int64 array of ``case_m1 case_m2 ctrl_m1 ctrl_m2`` counts.
 
     Whitespace-separated UTF-8 columns ``marker_id case_m1 case_m2 ctrl_m1
     ctrl_m2``, after an optional byte-order mark; ``#`` starts a comment line;
@@ -130,9 +152,10 @@ def parse_counts_file(path: str) -> tuple[list[str], np.ndarray]:
     return _parse_canonical(path) or _parse_rows(path)
 
 
-def _parse_canonical(path: str) -> tuple[list[str], np.ndarray] | None:
+def _parse_canonical(path: str) -> tuple[MarkerIds, np.ndarray] | None:
     """The ids and counts of a canonical, valid counts file; else None."""
-    ids: list[str] = []
+    names: list[bytes] = []  # each block's ids, end to end
+    lengths, hashes = array("q"), array("q")  # one per id
     packed = array("q")  # four counts per row
     with open(path, "rb") as fh:
         if fh.readline() != _CANONICAL_HEADER:
@@ -142,22 +165,26 @@ def _parse_canonical(path: str) -> tuple[list[str], np.ndarray] | None:
             rows = _CANONICAL_ROW.findall(b"".join(lines))
             if len(rows) != len(lines):
                 return None
-            names, cells = zip(*rows)
+            block_ids, cells = zip(*rows)
             counts = np.fromstring(b"\t".join(cells), dtype=np.int64, sep=" ")
             totals = counts[0::2] + counts[1::2]
             if ((totals % 2 != 0) | (totals < 2) | (totals > MAX_ALLELE_TOTAL)).any():
                 return None
-            ids += b" ".join(names).decode("ascii").split()
+            names.append(b"".join(block_ids))
+            # np.fromiter reads these in about half the time array.extend takes.
+            lengths.frombytes(np.fromiter(map(len, block_ids), np.int64, len(rows)).tobytes())
+            hashes.frombytes(np.fromiter(map(hash, block_ids), np.int64, len(rows)).tobytes())
             packed.frombytes(counts.tobytes())
     # Two equal hashes, of a duplicate id or not, leave the file to the row
     # loop; sorted hashes take a fraction of the memory of a set of the ids.
-    hashes = np.sort(np.fromiter(map(hash, ids), dtype=np.int64, count=len(ids)))
-    if not ids or (hashes[1:] == hashes[:-1]).any():
+    hashes = np.sort(np.frombuffer(hashes, dtype=np.int64))
+    if not lengths or (hashes[1:] == hashes[:-1]).any():
         return None
+    ids = MarkerIds(b"".join(names), np.cumsum(lengths))
     return ids, np.frombuffer(packed, dtype=np.int64).reshape(-1, 4)
 
 
-def _parse_rows(path: str) -> tuple[list[str], np.ndarray]:
+def _parse_rows(path: str) -> tuple[MarkerIds, np.ndarray]:
     """The row loop: each row is checked and its counts packed as it is read."""
     ids: list[str] = []
     seen: set[str] = set()
@@ -202,6 +229,11 @@ def _parse_rows(path: str) -> tuple[list[str], np.ndarray]:
         raise CountsFileError("empty counts file (header row is required)")
     if not ids:
         raise CountsFileError("no marker rows found after the header")
+    # Packed after the loop, once the set is gone: buffers grown row by row
+    # beside the set raise the loop's peak (by ~6 MB at 250,000 markers).
+    del seen
+    lengths = np.fromiter(map(len, map(str.encode, ids)), dtype=np.int64, count=len(ids))
+    ids = MarkerIds("".join(ids).encode(), np.cumsum(lengths))
     return ids, np.frombuffer(packed, dtype=np.int64).reshape(-1, 4)
 
 
@@ -316,7 +348,7 @@ _FIELDS = 15
 
 
 def _scan_blocks(
-    ids: list[str], counts: np.ndarray, pi_hat: float, z: float, direction: str
+    ids: MarkerIds, counts: np.ndarray, pi_hat: float, z: float, direction: str
 ) -> Iterator[str]:
     """The scan's TSV text: the header once the ranks are known, then the
     rows of one block of ``BLOCK_ROWS`` markers at a time. The caller has
@@ -349,16 +381,16 @@ def _scan_blocks(
     for start in blocks:
         cells, flags = report_columns(block_arrays(start), z)
         rows = slice(start, start + len(cells))
-        yield _scan_rows(ids[rows], cells, flags, rank[rows])
+        yield _scan_rows(*ids.block(start, rows.stop), cells, flags, rank[rows])
 
 
-def _scan_rows(ids: list[str], cells: np.ndarray, flags: np.ndarray, rank: np.ndarray) -> str:
+def _scan_rows(id_bytes: bytes, ends: np.ndarray, cells: np.ndarray, flags: np.ndarray, rank: np.ndarray) -> str:
     """The TSV rows of some markers, laid out in one byte matrix of
-    ``_format.WIDTH``-byte fields whose fillers are then deleted. A NaN cell
-    or rank is an empty field."""
+    ``_format.WIDTH``-byte fields whose fillers are then deleted. Id k is
+    ``id_bytes[ends[k - 1]:ends[k]]``. A NaN cell or rank is an empty field."""
     from . import _format  # imported by the writers alone, so the CLI starts as fast
 
-    n = len(ids)
+    n = len(ends)
     values = np.zeros((n, _FIELDS))  # the flags' field is written over below
     values[:, :13] = cells
     values[:, 14] = rank
@@ -369,11 +401,15 @@ def _scan_rows(ids: list[str], cells: np.ndarray, flags: np.ndarray, rank: np.nd
     names = b"".join((";".join(each) or "ok").encode().ljust(_format.WIDTH, _format.FILLER_BYTES)
                      for each in REPORT_FLAGS)
     fields[:, 13] = np.frombuffer(names, dtype=np.uint8).reshape(-1, _format.WIDTH)[flags]
-    encoded = list(map(str.encode, ids))
-    width = max(map(len, encoded))
-    padded = b"".join(map(bytes.ljust, encoded, repeat(width), repeat(_format.FILLER_BYTES)))
+    lengths = np.diff(ends, prepend=0)
+    width = lengths.max()
     text = np.empty((n, width + _FIELDS * (_format.WIDTH + 1) + 1), dtype=np.uint8)
-    text[:, :width] = np.frombuffer(padded, dtype=np.uint8).reshape(n, width)
+    text[:, :width] = _format.FILLER
+    # Each id goes to the head of its row: byte k of the ids, in id r, to flat
+    # index k + shift[r], where shift[r] is row r's offset less id r's start.
+    shift = np.arange(n) * text.shape[1] - (ends - lengths)
+    at = np.arange(len(id_bytes)) + np.repeat(shift, lengths)
+    text.reshape(-1)[at] = np.frombuffer(id_bytes, dtype=np.uint8)
     after_id = text[:, width:-1].reshape(n, _FIELDS, _format.WIDTH + 1)
     after_id[:, :, 0] = ord("\t")
     after_id[:, :, 1:] = fields

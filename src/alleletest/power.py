@@ -82,13 +82,19 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _check_power_args(m: float, q_ratio, alpha: float) -> None:
-    """``q_ratio`` may be an array; its first entry not above 0 (or NaN) is reported."""
+    """``q_ratio`` may be an array: its first entry not above 0 (or NaN), else
+    its first infinite one, is reported."""
     if not m > 0.0:
         raise ValueError(f"m must be positive, got {m!r}")
+    if not math.isfinite(m):
+        raise ValueError(f"m must be finite, got {m!r}")
     q_ratio = np.ravel(q_ratio)
     bad = q_ratio[~(q_ratio > 0.0)]
     if bad.size:
         raise ValueError(f"q_ratio must be positive, got {bad[0].item()!r}")
+    bad = q_ratio[~np.isfinite(q_ratio)]
+    if bad.size:
+        raise ValueError(f"q_ratio must be finite, got {bad[0].item()!r}")
     _check_alpha(alpha)
 
 

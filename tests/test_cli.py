@@ -48,7 +48,7 @@ def counts_file(tmp_path):
 class TestParseCountsFile:
     def test_valid_file(self, counts_file):
         ids, counts = parse_counts_file(counts_file)
-        assert ids == ["rs1", "rs2", "rs3", "rs4"]
+        assert list(ids) == ["rs1", "rs2", "rs3", "rs4"]
         assert counts.shape == (4, 4) and counts.dtype == np.int64
         assert counts[0, 0] == 290 and counts[0, 3] == 1816
 
@@ -120,7 +120,7 @@ class TestParseCountsFile:
         path.write_bytes(b"\xef\xbb\xbf" + VALID_FILE.encode())
         ids, counts = parse_counts_file(str(path))
         want_ids, want_counts = parse_counts_file(counts_file)
-        assert ids == want_ids
+        assert list(ids) == list(want_ids)
         np.testing.assert_array_equal(counts, want_counts)
         # only a leading mark is skipped: one later in the file is part of a marker id
         path.write_text(VALID_FILE.replace("rs2", "\ufeffrs2"), encoding="utf-8")
@@ -186,7 +186,7 @@ def _outcome(parse, path):
         ids, counts = parse(path)
     except CountsFileError as exc:
         return "error", str(exc), exc.line_no
-    return "ok", ids, np.asarray(counts, dtype=np.int64).tolist()
+    return "ok", list(ids), np.asarray(counts, dtype=np.int64).tolist()
 
 
 BIG = 2**70
@@ -429,7 +429,7 @@ class TestCanonicalFastPath:
         assert row_loop_calls == []
         crlf_ids, crlf_counts = parse_counts_file(str(crlf))
         assert row_loop_calls == [str(crlf)]
-        assert crlf_ids == ids and np.array_equal(crlf_counts, counts)
+        assert list(crlf_ids) == list(ids) and np.array_equal(crlf_counts, counts)
 
     def test_a_file_without_its_final_lf_reaches_the_row_loop(self, tmp_path, row_loop_calls):
         path = tmp_path / "counts.tsv"
@@ -439,6 +439,36 @@ class TestCanonicalFastPath:
         assert row_loop_calls == [str(path)]
 
 
+class TestMarkerIds:
+    """The ids that ``parse_counts_file`` returns read, by length, by index
+    from either end and by iteration, as ``reference_parse``'s list."""
+
+    FORMS = {
+        "canonical": lambda text: text,
+        "crlf": lambda text: text.replace("\n", "\r\n"),
+        "bom": lambda text: "\ufeff" + text,
+        "non-ascii": lambda text: text.replace("\nrs7\t", "\nmarqueur-é\t").replace(
+            "\nrs700\t", "\n标记\U0001f9ec\t"),
+    }
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_read_as_the_reference_list(self, tmp_path, form):
+        text = self.FORMS[form](_random_counts_text(1100, seed=6))
+        path, expected = tmp_path / "counts.tsv", tmp_path / "without_bom.tsv"
+        path.write_bytes(text.encode())
+        expected.write_bytes(text.removeprefix("\ufeff").encode())  # reference_parse reads no BOM
+        want = reference_parse(str(expected))[0]
+        assert ("é" in "".join(want)) == (form == "non-ascii")
+        ids = parse_counts_file(str(path))[0]
+        assert len(ids) == len(want) == 1100
+        assert list(ids) == want
+        assert [ids[i] for i in range(-len(want), 0)] == want
+        assert ids[1099] == ids[-1] == want[-1] and ids[0] == ids[-1100] == want[0]
+        for index in (1100, -1101):
+            with pytest.raises(IndexError):
+                ids[index]
+
+
 class TestScanMemory:
     # tracemalloc peak of the parse and the drained scan blocks, above what was
     # traced before, on this file (Python 3.11, numpy 2.4): 443 B/marker with
@@ -446,13 +476,17 @@ class TestScanMemory:
     # 229 B/marker with the counts packed as they are read and the kernel run
     # per block, where the row loop's set of the ids made the parse set it;
     # 207 B/marker with this canonical file parsed in numpy, whose parse
-    # peaks at 114 B/marker, so that the scan sets it. The ids themselves
-    # take ~70 B/marker. The scan's own peak above what the parse holds:
-    # 110 B/marker with every block's kernel outputs kept for the rank, and
-    # 109 with W alone kept, where one block's formatting sets it.
+    # peaks at 114 B/marker, so that the scan sets it; 161 B/marker with the
+    # ids held as one byte string and an int64 end offset each, where the
+    # parse peaks at 74 B/marker. The parse then holds 50 B/marker, 32 of
+    # them the counts; it held 100 with a str per id, ~65 B/marker each.
+    # The scan's own peak above what the parse holds: 110 B/marker with
+    # every block's kernel outputs kept for the rank, and 109 with W alone
+    # kept, where one block's formatting sets it.
     MARKERS = 20_000
     BOUND = 300  # bytes per marker
     SCAN_BOUND = 145  # bytes per marker, above what the parse holds
+    HELD_BOUND = 64  # bytes per marker, the ids and counts the parse returns
 
     def test_peak_per_marker(self, tmp_path):
         path = tmp_path / "counts.tsv"
@@ -477,6 +511,7 @@ class TestScanMemory:
         assert len(ids) == self.MARKERS
         assert (peak - before) / self.MARKERS < self.BOUND
         assert (scan_peak - parsed) / self.MARKERS < self.SCAN_BOUND
+        assert (parsed - before) / self.MARKERS < self.HELD_BOUND
 
 
 class TestPowerMemory:
@@ -1320,7 +1355,7 @@ class TestScanFuzz:
         ids, _ = parse_counts_file(str(path))
         lines = out.splitlines()
         assert lines[0] == "\t".join(SCAN_COLUMNS)
-        assert [line.split("\t")[0] for line in lines[1:]] == ids
+        assert [line.split("\t")[0] for line in lines[1:]] == list(ids)
 
 
 class TestPowerFuzz:

@@ -116,6 +116,20 @@ class TestScalarArguments:
         with pytest.raises(ValueError, match=message):
             fn(m, 0.1, 0.3, q_ratio, 1e-8)
 
+    # Before these were rejected, an infinite m gave NaN, and an infinite Q
+    # gave W a power of 0 where T's was 1.
+    @pytest.mark.parametrize("fn", [power_t, power_w, power_u])
+    @pytest.mark.parametrize(
+        "m, b, q_ratio, message",
+        [
+            (math.inf, 0.0, 1.0, "m must be finite, got inf"),
+            (1000.0, 0.1, math.inf, "q_ratio must be finite, got inf"),
+        ],
+    )
+    def test_infinite_m_or_q_ratio_rejected(self, fn, m, b, q_ratio, message):
+        with pytest.raises(ValueError, match=message):
+            fn(m, b, 0.3, q_ratio, 0.05)
+
     @pytest.mark.parametrize("fn", [power_t, power_w, power_u])
     @pytest.mark.parametrize(
         "b, delta, message",
