@@ -385,34 +385,29 @@ def _scan_blocks(
 
 
 def _scan_rows(id_bytes: bytes, ends: np.ndarray, cells: np.ndarray, flags: np.ndarray, rank: np.ndarray) -> str:
-    """The TSV rows of some markers, laid out in one byte matrix of
-    ``_format.WIDTH``-byte fields whose fillers are then deleted. Id k is
-    ``id_bytes[ends[k - 1]:ends[k]]``. A NaN cell or rank is an empty field."""
+    """The TSV rows of some markers, laid out in one byte matrix of ``_format.WIDTH``-byte
+    fields whose fillers are then deleted. Id k, ``id_bytes[ends[k - 1]:ends[k]]``, fills the
+    head of row k through a mask, which numpy fills in row-major order. A NaN is an empty field."""
     from . import _format  # imported by the writers alone, so the CLI starts as fast
 
     n = len(ends)
-    values = np.zeros((n, _FIELDS))  # the flags' field is written over below
-    values[:, :13] = cells
-    values[:, 14] = rank
+    values = np.column_stack((cells, rank))
     blank = np.isnan(values)  # a flagged row's empty cells, and its rank
     values[blank] = 0.0
     fields = _format.format_17g(values)
     fields[blank] = _format.FILLER
     names = b"".join((";".join(each) or "ok").encode().ljust(_format.WIDTH, _format.FILLER_BYTES)
                      for each in REPORT_FLAGS)
-    fields[:, 13] = np.frombuffer(names, dtype=np.uint8).reshape(-1, _format.WIDTH)[flags]
     lengths = np.diff(ends, prepend=0)
     width = lengths.max()
     text = np.empty((n, width + _FIELDS * (_format.WIDTH + 1) + 1), dtype=np.uint8)
     text[:, :width] = _format.FILLER
-    # Each id goes to the head of its row: byte k of the ids, in id r, to flat
-    # index k + shift[r], where shift[r] is row r's offset less id r's start.
-    shift = np.arange(n) * text.shape[1] - (ends - lengths)
-    at = np.arange(len(id_bytes)) + np.repeat(shift, lengths)
-    text.reshape(-1)[at] = np.frombuffer(id_bytes, dtype=np.uint8)
+    text[:, :width][np.arange(width) < lengths[:, None]] = np.frombuffer(id_bytes, dtype=np.uint8)
     after_id = text[:, width:-1].reshape(n, _FIELDS, _format.WIDTH + 1)
     after_id[:, :, 0] = ord("\t")
-    after_id[:, :, 1:] = fields
+    after_id[:, :13, 1:] = fields[:, :13]
+    after_id[:, 13, 1:] = np.frombuffer(names, dtype=np.uint8).reshape(-1, _format.WIDTH)[flags]
+    after_id[:, 14, 1:] = fields[:, 13]
     text[:, -1] = ord("\n")
     return text.tobytes().translate(None, _format.FILLER_BYTES).decode("utf-8")
 

@@ -52,6 +52,7 @@ __all__ = [
     "variance_ratio",
     "check_frequency",
     "check_weight",
+    "is_integer",
     "MAX_ALLELE_TOTAL",
 ]
 
@@ -128,9 +129,7 @@ class DesignConstants:
     def __post_init__(self) -> None:
         for name in ("r_cases", "s_controls"):
             value = getattr(self, name)
-            # Any integer, numpy's too, but a bool; stored as a Python int.
-            is_int = not isinstance(value, (bool, np.bool_)) and hasattr(value, "__index__")
-            if not is_int or operator.index(value) < 1:
+            if not is_integer(value) or operator.index(value) < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
             object.__setattr__(self, name, operator.index(value))
         r, s = self.r_cases, self.s_controls
@@ -403,6 +402,11 @@ def q_term(
     check_weight("delta_weight", delta_weight)
     g = variance_mixture(summary.q1_ctrl, summary.q1_case, lam)
     return math.sqrt(frequency_mixture(summary.q1_ctrl, summary.q1_case, delta_weight) / g)
+
+
+def is_integer(value: Any) -> bool:
+    """Any integer, numpy's too, but not a bool: numpy 1.x's bool has ``__index__``."""
+    return not isinstance(value, (bool, np.bool_)) and hasattr(value, "__index__")
 
 
 def check_frequency(name: str, value: float) -> None:

@@ -59,6 +59,7 @@ from .model import (
     check_prevalence,
     check_weight,
     haplotype_freqs,
+    is_integer,
     marker_conditional_freqs,
 )
 from .stats import statistic_arrays, two_sided_critical_value
@@ -128,7 +129,7 @@ class SimConfig:
         for name in ("seed", "replications"):
             value = getattr(self, name)
             # A float or bool seed would key the same Philox stream as its int.
-            if isinstance(value, bool) or not hasattr(value, "__index__"):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, operator.index(value))
         check_frequency("pi_hat", self.pi_hat)
@@ -341,7 +342,7 @@ def _run_shares(config: SimConfig, workers: int, work, *args) -> list:
     blocks, in worker order; ``draws`` are the run's draw objects, which the
     workers share read-only. Worker ``i``'s share is ``range(i, blocks, workers)``;
     share 0 runs on the calling thread, each other share on a thread of its own."""
-    if isinstance(workers, bool) or not hasattr(workers, "__index__"):
+    if not is_integer(workers):
         raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")

@@ -38,6 +38,7 @@ from .model import (
     check_frequency,
     check_weight,
     frequency_mixture,
+    is_integer,
     variance_mixture,
 )
 
@@ -91,9 +92,7 @@ class AlleleCounts:
     def __post_init__(self) -> None:
         for name in ("r1", "r2", "s1", "s2"):
             value = getattr(self, name)
-            # Any integer, numpy's too, but a bool; stored as a Python int.
-            is_int = not isinstance(value, (bool, np.bool_)) and hasattr(value, "__index__")
-            if not is_int or operator.index(value) < 0:
+            if not is_integer(value) or operator.index(value) < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
             object.__setattr__(self, name, operator.index(value))
         for label, total in (("case", self.r1 + self.r2), ("control", self.s1 + self.s2)):

@@ -437,6 +437,7 @@ class TestRunShares:
     @pytest.mark.parametrize("workers, message", [
         (2.5, "workers must be an integer, got 2.5"),
         (True, "workers must be an integer, got True"),
+        (np.True_, f"workers must be an integer, got {np.True_!r}"),
         ("2", "workers must be an integer, got '2'"),
         (None, "workers must be an integer, got None"),
         (0, "workers must be >= 1, got 0"),
@@ -748,11 +749,11 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field,bad",
-        [("seed", 1.7), ("seed", True), ("seed", "1"), ("replications", 5000.5),
-         ("replications", True), ("replications", None)],
+        [("seed", 1.7), ("seed", True), ("seed", np.True_), ("seed", "1"), ("replications", 5000.5),
+         ("replications", True), ("replications", np.True_), ("replications", None)],
     )
     def test_seed_and_replications_must_be_integers(self, field, bad):
-        # 1.7 and True would key the Philox stream of seed 1
+        # 1.7, True and numpy's True would key the Philox stream of seed 1
         with pytest.raises(ValueError, match=field):
             config(**{"seed" if field == "seed" else "reps": bad})
 
