@@ -14,14 +14,14 @@ import sys
 from array import array
 from collections.abc import Sequence
 from itertools import islice
-from typing import IO, Iterator
+from typing import IO, TYPE_CHECKING, Iterator
 
 import click
 import numpy as np
 
-from . import power as power_mod
-from . import sim as sim_mod
 from .model import (
+    GRID_AXES,
+    MODES,
     DegeneratePrevalenceError,
     DesignConstants,
     FeasibilityError,
@@ -42,6 +42,9 @@ from .stats import (
     statistic_arrays,
 )
 from .stats import evaluate_counts  # noqa: F401 (bench/tracing.py wraps it)
+
+if TYPE_CHECKING:
+    from .power import PowerGrid
 
 __all__ = [
     "CountsFileError",
@@ -451,7 +454,7 @@ def _default_grid(axis: str, p1: float, q1: float | None) -> list[float]:
     return list(np.linspace(0.0, 1.0, 11))
 
 
-def _power_blocks(powers: power_mod.PowerGrid, axis: str) -> Iterator[str]:
+def _power_blocks(powers: PowerGrid, axis: str) -> Iterator[str]:
     """The CSV rows of ``powers``, four per (coordinate, pi-hat) point, in
     blocks of ``BLOCK_ROWS`` points.
 
@@ -508,7 +511,7 @@ def _power_blocks(powers: power_mod.PowerGrid, axis: str) -> Iterator[str]:
 @click.option("--r", type=int, required=True, help="Case count.")
 @click.option("--s", type=int, required=True, help="Control count.")
 @click.option("--alpha", type=float, required=True, help="Significance level.")
-@click.option("--axis", type=click.Choice(power_mod.GRID_AXES), default="q1", show_default=True, help="Coordinate to sweep.")
+@click.option("--axis", type=click.Choice(GRID_AXES), default="q1", show_default=True, help="Coordinate to sweep.")
 @click.option("--values", default=None, help="Comma-separated axis values (overrides the default grid).")
 @click.option("--sweep", default=None, help="Axis range lo:hi:n (overrides the default grid).")
 @click.option("--pi-hats", default=None, help="Comma-separated prevalence estimates for misspecification curves.")
@@ -516,6 +519,7 @@ def _power_blocks(powers: power_mod.PowerGrid, axis: str) -> Iterator[str]:
 @_config_option
 def power_cmd(p1, pen, q1, delta, delta_weight, r, s, alpha, axis, values, sweep, pi_hats, out):
     """Evaluate asymptotic power curves; emits CSV data for plotting."""
+    from . import power  # here, so that scan, model and simulate do not load it
     model = _penetrance_model(p1, pen)
     design = DesignConstants(r_cases=r, s_controls=s)
     if {"q1": q1, "delta": delta, "delta_weight": delta_weight}[axis] is not None:
@@ -539,6 +543,8 @@ def power_cmd(p1, pen, q1, delta, delta_weight, r, s, alpha, axis, values, sweep
             raise click.UsageError(f"--sweep expects numbers lo:hi:n, got {sweep!r}") from None
         if n < 1:
             raise click.UsageError("--sweep needs at least one point")
+        if not np.isfinite(hi - lo):  # also where lo or hi is not finite
+            raise click.UsageError(f"--sweep expects a finite range lo:hi:n, got {sweep!r}")
         _check_point_count(n)  # before the grid is allocated
         grid = list(np.linspace(lo, hi, n))
     else:
@@ -550,7 +556,7 @@ def power_cmd(p1, pen, q1, delta, delta_weight, r, s, alpha, axis, values, sweep
     if pi_hats is not None:
         pi_hat_values = list(_parse_float_list(pi_hats, "--pi-hats"))
     _check_point_count(len(grid) * max(1, len(pi_hat_values or ())))
-    powers = power_mod.power_grid(
+    powers = power.power_grid(
         model,
         design,
         axis=axis,
@@ -576,7 +582,7 @@ def power_cmd(p1, pen, q1, delta, delta_weight, r, s, alpha, axis, values, sweep
 @click.option("--pi-hat", type=float, required=True, help="Prevalence estimate used by W and U.")
 @click.option("--reps", type=int, required=True, help="Number of replications.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Random seed (64-bit).")
-@click.option("--mode", type=click.Choice(sim_mod.MODES), default="allele", show_default=True, help="Sampling mode.")
+@click.option("--mode", type=click.Choice(MODES), default="allele", show_default=True, help="Sampling mode.")
 @click.option("--alphas", default="1e-3", show_default=True, help="Comma-separated significance levels.")
 @click.option("--deltas", default="", help="Comma-separated mixing weights for the weighted tests.")
 @click.option("--tests", default=None, help="Comma-separated subset of T,W,W_cor,U,W_delta,W_cor_delta.")
@@ -587,6 +593,7 @@ def power_cmd(p1, pen, q1, delta, delta_weight, r, s, alpha, axis, values, sweep
 @_config_option
 def simulate_cmd(p1, pen, q1, delta, r, s, pi_hat, reps, seed, mode, alphas, deltas, tests, workers, type1, out_json, out_tsv):
     """Run the Monte Carlo engine and emit rejection-fraction tables."""
+    from . import sim  # here, so that scan, model and power load neither it nor _binomial
     paths = (out_json or "-", out_tsv or None)  # the JSON goes to stdout by default
     json_dest, tsv_dest = (p if p in ("-", None) else os.path.realpath(p) for p in paths)
     if json_dest == tsv_dest:  # one would write over the other, or both to stdout
@@ -597,10 +604,10 @@ def simulate_cmd(p1, pen, q1, delta, r, s, pi_hat, reps, seed, mode, alphas, del
     alpha_values = _parse_float_list(alphas, "--alphas")
     delta_weights = _parse_float_list(deltas, "--deltas")
     if tests is None:
-        test_list = sim_mod.BASE_TESTS + (sim_mod.DELTA_TESTS if delta_weights else ())
+        test_list = sim.BASE_TESTS + (sim.DELTA_TESTS if delta_weights else ())
     else:
         test_list = tuple(t.strip() for t in tests.split(",") if t.strip())
-    config = sim_mod.SimConfig(
+    config = sim.SimConfig(
         model=model,
         marker=marker,
         design=design,
@@ -613,9 +620,9 @@ def simulate_cmd(p1, pen, q1, delta, r, s, pi_hat, reps, seed, mode, alphas, del
         seed=seed,
     )
     if type1:
-        result = sim_mod.estimate_type1(config, workers=workers)
+        result = sim.estimate_type1(config, workers=workers)
     else:
-        result = sim_mod.estimate_power(config, workers=workers)
+        result = sim.estimate_power(config, workers=workers)
     with _outputs(*paths) as (json_out, tsv_out):
         json_out.write(result.to_json() + "\n")
         if tsv_out:

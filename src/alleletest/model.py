@@ -54,12 +54,19 @@ __all__ = [
     "check_weight",
     "is_integer",
     "MAX_ALLELE_TOTAL",
+    "GRID_AXES",
+    "MODES",
 ]
 
 # Slack for floating-point round-off at the exact feasibility boundary.
 _BOUND_TOL = 1e-12
 # Largest allele total whose counts and frequencies float64 holds exactly.
 MAX_ALLELE_TOTAL = 1 << 53
+# The coordinates a power sweep runs over, and the simulation's sampling
+# modes: here, so that the CLI's options list them without importing power
+# or sim.
+GRID_AXES = ("q1", "delta", "delta_weight")
+MODES = ("allele", "genotype")
 
 
 class FeasibilityError(ValueError):

@@ -24,6 +24,7 @@ import numpy as np
 
 from ._normal import ndtr
 from .model import (
+    GRID_AXES,
     DesignConstants,
     MarkerSpec,
     PenetranceModel,
@@ -51,8 +52,6 @@ __all__ = [
     "power_grid",
     "GRID_AXES",
 ]
-
-GRID_AXES = ("q1", "delta", "delta_weight")
 
 
 def noncentrality(m: float, b: float, delta: float) -> float:

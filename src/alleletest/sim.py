@@ -52,6 +52,7 @@ import numpy as np
 
 from ._binomial import BinomialDraw
 from .model import (
+    MODES,
     DesignConstants,
     MarkerSpec,
     PenetranceModel,
@@ -84,7 +85,6 @@ __all__ = [
 BASE_TESTS = ("T", "W", "W_cor", "U")
 DELTA_TESTS = ("W_delta", "W_cor_delta")
 ALL_TESTS = BASE_TESTS + DELTA_TESTS
-MODES = ("allele", "genotype")
 
 _BLOCK = 1 << 16
 _RNG_DESCRIPTION = f"philox4x64 keyed by (seed, block), block size {_BLOCK}"

@@ -440,9 +440,10 @@ def report_columns(arrays: StatArrays, z: float) -> tuple[np.ndarray, np.ndarray
     cells = np.full((q_ctrl.size, 13), np.nan)
     # The statistics are NaN where degenerate, as their cells are empty.
     cells[:, [0, 1, 2, 4, 6, 7, 9]] = np.column_stack((q_ctrl, q_case, t, w, w_cor, u, qh))
-    for col, stat in ((3, t), (5, w), (8, u)):
+    for col, stat in ((3, t), (5, w)):
         cells[~monomorphic, col] = 1.0
         cells[ok, col] = _mapped(math.erfc, np.abs(stat[ok]) / _SQRT2)
+    cells[:, 8] = np.where(qh > 1.0, cells[:, 3], cells[:, 5])  # p_u makes U's pick of T or W
     ratio = q_ctrl[ok] / q_case[ok]
     log_ratio, half = _mapped(math.log, ratio), z * se[ok]
     cells[ok, 10] = ratio

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from alleletest import cli
+from alleletest import power as power_mod
 from alleletest import sim as sim_mod
 from alleletest.cli import (
     COUNTS_HEADER,
@@ -524,7 +525,7 @@ class TestPowerMemory:
     BOUND = 1 << 20  # bytes, at any sweep length
 
     def drain_peak(self, coordinates):
-        powers = cli.power_mod.power_grid(
+        powers = power_mod.power_grid(
             self.MODEL, DesignConstants(2000, 2000), axis="q1",
             values=np.linspace(0.001, 0.999, coordinates), alpha=1e-8, delta=0.5,
             pi_hat_values=[0.05, 0.1, 0.2])
@@ -934,10 +935,16 @@ class TestPowerCommand:
             (["--sweep", "0:1"], "--sweep expects lo:hi:n"),
             (["--sweep", "a:b:3"], "--sweep expects numbers lo:hi:n, got 'a:b:3'"),
             (["--sweep", "0:1:0"], "--sweep needs at least one point"),
+            # np.linspace would warn and give NaN coordinates for these three
+            (["--sweep", "0.1:inf:3"], "--sweep expects a finite range lo:hi:n, got '0.1:inf:3'"),
+            (["--sweep", "-inf:0.5:3"], "--sweep expects a finite range lo:hi:n, got '-inf:0.5:3'"),
+            (["--sweep", "-1e308:1e308:3"],
+             "--sweep expects a finite range lo:hi:n, got '-1e308:1e308:3'"),
             (["--values", "0.1", "--pen", "0.6,x,0.1"], "--pen values must be numbers, got '0.6,x,0.1'"),
             (["--values", "0.1,abc"], "--values values must be numbers, got '0.1,abc'"),
         ],
-        ids=["values-and-sweep", "sweep-fields", "sweep-numbers", "sweep-points", "pen", "values"],
+        ids=["values-and-sweep", "sweep-fields", "sweep-numbers", "sweep-points",
+             "sweep-infinite-hi", "sweep-infinite-lo", "sweep-overflowing-span", "pen", "values"],
     )
     def test_malformed_grid_or_number_rejected(self, args, message, tmp_path, capsys):
         out = tmp_path / "power.csv"
@@ -945,7 +952,8 @@ class TestPowerCommand:
                      "--r", "1000", "--s", "1000", "--alpha", "1e-8", "--axis", "q1", *args,
                      "--out", str(out)])
         assert code == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.count("Error:") == 1
         assert not out.exists()
 
     def test_sweep_spec(self, capsys):

@@ -118,6 +118,27 @@ def test_cli_imports_no_thread_pool():
     )
 
 
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # power and sim (with _binomial) are imported by the commands that run
+    # them; importing the CLI, scan and model load none of the three.
+    scan, power = ([a.format(counts=DATA / COUNTS, out=tmp_path / name) for a in CASES[name]]
+                   for name in ("scan_toward_zero.tsv", "power_q1.csv"))
+    model = ["model", "--p1", "0.2", "--pen", "0.6,0.35,0.1", "--q1", "0.1", "--delta", "0.3"]
+    simulate = SIM_BASE[:SIM_BASE.index("--reps")] + ["--reps", "1000", "--q1", "0.1",
+                                                      "--out-json", str(tmp_path / "sim.json")]
+    lazy = ["alleletest.power", "alleletest.sim", "alleletest._binomial"]
+    steps = [(scan, []), (model, []), (power, lazy[:1]), (simulate, lazy)]
+    _run_fresh(
+        "import sys\n"
+        "from alleletest.cli import main\n"
+        f"loaded = lambda: [m for m in {lazy!r} if m in sys.modules]\n"
+        "assert loaded() == [], loaded()\n"
+        f"for argv, expected in {steps!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert loaded() == expected, (argv[0], loaded())\n"
+    )
+
+
 def _run_fresh(code: str) -> None:
     """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -7,6 +7,8 @@ smallest designs every statistic is also compared with its exact-rational
 oracle.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,10 @@ def test_report_cells_are_empty_only_in_flagged_rows():
         expected[~degenerate] = 0
         assert np.array_equal(flags, expected)
         assert not np.isnan(cells[flags == 0]).any()
+        # p_u is U's own normal p-value: 1.0 on degenerate tables, none on monomorphic ones.
+        p_u = np.where(monomorphic, np.nan, 1.0)
+        p_u[~degenerate] = [math.erfc(abs(u) / math.sqrt(2.0)) for u in cells[~degenerate, 7].tolist()]
+        assert np.array_equal(cells[:, 8], p_u, equal_nan=True)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
-"""The package's exports: ``alleletest/__init__.py`` names each one twice, in
-its imports and in ``__all__``, and the two lists must agree."""
+"""The package's exports: ``alleletest/__init__.py`` names each one once, in
+its table of submodules and their exports, and loads it on first use."""
 
-import inspect
+import importlib
 
 import alleletest
 
@@ -18,9 +18,12 @@ def test_star_import_binds_exactly_all():
     assert sorted(namespace) == sorted(alleletest.__all__)
 
 
-def test_all_lists_each_public_name_that_is_not_a_module_once():
-    public = [
-        name for name, value in vars(alleletest).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
-    ]
-    assert sorted(alleletest.__all__) == sorted([*public, "__version__"])
+def test_table_lists_each_export_once_as_its_submodule_object():
+    listed = [name for names in alleletest._EXPORTS.values() for name in names]
+    assert len(listed) == len(set(listed))
+    assert sorted(alleletest.__all__) == sorted([*listed, "__version__"])
+    for module, names in alleletest._EXPORTS.items():
+        submodule = importlib.import_module(f"alleletest.{module}")
+        for name in names:
+            assert name in submodule.__all__
+            assert getattr(alleletest, name) is getattr(submodule, name)
