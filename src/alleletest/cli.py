@@ -35,6 +35,7 @@ from .model import (
 from .stats import (
     CORRECTION_DIRECTIONS,
     MAX_ALLELE_TOTAL,
+    REPORT_COLUMNS,
     REPORT_FLAGS,
     AlleleCounts,
     ci_quantile,
@@ -58,24 +59,7 @@ __all__ = [
 
 COUNTS_HEADER = ("marker_id", "case_m1", "case_m2", "ctrl_m1", "ctrl_m2")
 
-SCAN_COLUMNS = (
-    "marker_id",
-    "q_hat_ctrl",
-    "q_hat_case",
-    "t",
-    "p_t",
-    "w",
-    "p_w",
-    "w_cor",
-    "u",
-    "p_u",
-    "q_hat",
-    "effect_ratio",
-    "ci_lo",
-    "ci_hi",
-    "flags",
-    "w_abs_rank",
-)
+SCAN_COLUMNS = ("marker_id", *REPORT_COLUMNS, "flags", "w_abs_rank")
 
 # Largest number of power points (grid coordinates times pi-hats), 500 times
 # the benchmark's power grid; it bounds the memory a sweep can ask for before
@@ -125,8 +109,10 @@ class MarkerIds(Sequence[str]):
     def __len__(self) -> int:
         return len(self.ends)
 
-    def __getitem__(self, index: int) -> str:
+    def __getitem__(self, index: int | slice) -> str | list[str]:
         i = range(len(self))[index]  # negative indices count from the end
+        if isinstance(i, range):  # a slice: its ids as a list
+            return [self[j] for j in i]
         return self.data[self.ends[i - 1] if i else 0 : self.ends[i]].decode("utf-8")
 
     def block(self, start: int, stop: int) -> tuple[bytes, np.ndarray]:
@@ -346,10 +332,6 @@ def model_cmd(p1, pen, q1, delta, r, s):
     click.echo(json.dumps(payload, indent=2))
 
 
-# A row's fields after the marker id, each after a tab: 13 cells, the flags, the rank.
-_FIELDS = 15
-
-
 def _scan_blocks(
     ids: MarkerIds, counts: np.ndarray, pi_hat: float, z: float, direction: str
 ) -> Iterator[str]:
@@ -403,14 +385,16 @@ def _scan_rows(id_bytes: bytes, ends: np.ndarray, cells: np.ndarray, flags: np.n
                      for each in REPORT_FLAGS)
     lengths = np.diff(ends, prepend=0)
     width = lengths.max()
-    text = np.empty((n, width + _FIELDS * (_format.WIDTH + 1) + 1), dtype=np.uint8)
+    n_fields = len(SCAN_COLUMNS) - 1  # after the id, each after a tab
+    text = np.empty((n, width + n_fields * (_format.WIDTH + 1) + 1), dtype=np.uint8)
     text[:, :width] = _format.FILLER
     text[:, :width][np.arange(width) < lengths[:, None]] = np.frombuffer(id_bytes, dtype=np.uint8)
-    after_id = text[:, width:-1].reshape(n, _FIELDS, _format.WIDTH + 1)
+    after_id = text[:, width:-1].reshape(n, n_fields, _format.WIDTH + 1)
     after_id[:, :, 0] = ord("\t")
-    after_id[:, :13, 1:] = fields[:, :13]
-    after_id[:, 13, 1:] = np.frombuffer(names, dtype=np.uint8).reshape(-1, _format.WIDTH)[flags]
-    after_id[:, 14, 1:] = fields[:, 13]
+    at_flags = SCAN_COLUMNS.index("flags") - 1  # the cells come before it, the rank after
+    after_id[:, :at_flags, 1:] = fields[:, :-1]
+    after_id[:, at_flags, 1:] = np.frombuffer(names, dtype=np.uint8).reshape(-1, _format.WIDTH)[flags]
+    after_id[:, at_flags + 1, 1:] = fields[:, -1]
     text[:, -1] = ord("\n")
     return text.tobytes().translate(None, _format.FILLER_BYTES).decode("utf-8")
 

@@ -374,13 +374,10 @@ def _run_shares(config: SimConfig, workers: int, work, *args) -> list:
 
 def _count_tables(r1: np.ndarray, s1: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct tables of one block's counts ``(r1, s1)``, keyed ``r1 * width
-    + s1`` in ascending order, and how often each was drawn. Where the box the
-    draws fill has at most ``_BLOCK`` cells they are counted in a histogram over
-    it, else sorted. ``r1`` is overwritten."""
-    r_hi, s_hi = int(r1.max()), int(s1.max())
-    r_lo = s_lo = 0
-    if (r_hi + 1) * (s_hi + 1) > _BLOCK:  # else a box from 0 will do (rare markers)
-        r_lo, s_lo = int(r1.min()), int(s1.min())
+    + s1`` in ascending order, and how often each was drawn. Where the box from
+    their minima to their maxima has at most ``_BLOCK`` cells they are counted
+    in a histogram over it, else sorted. ``r1`` is overwritten."""
+    r_lo, r_hi, s_lo, s_hi = int(r1.min()), int(r1.max()), int(s1.min()), int(s1.max())
     box_width = s_hi - s_lo + 1
     box = (r_hi - r_lo + 1) * box_width
     if box > _BLOCK:

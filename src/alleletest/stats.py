@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +62,7 @@ __all__ = [
     "evaluate_counts",
     "ci_quantile",
     "report_columns",
+    "REPORT_COLUMNS",
     "REPORT_FLAGS",
     "CORRECTION_DIRECTIONS",
     "MAX_ALLELE_TOTAL",
@@ -246,10 +248,10 @@ def _table_arrays(counts, weight, direction="toward_zero") -> StatArrays:
     return statistic_arrays(counts.r1, n1, counts.s1, n0, weight, direction=direction)
 
 
-def _statistic(counts, weight, name, direction="toward_zero") -> float:
-    """Kernel output ``name`` for one non-degenerate table."""
+def _checked_arrays(counts, weight, direction="toward_zero") -> StatArrays:
+    """Kernel output for one table, which must not be degenerate."""
     _require_nondegenerate(counts)
-    return float(getattr(_table_arrays(counts, weight, direction), name))
+    return _table_arrays(counts, weight, direction)
 
 
 def t_statistic(counts: AlleleCounts) -> float:
@@ -260,7 +262,7 @@ def t_statistic(counts: AlleleCounts) -> float:
     ``q*(1-q)/(2S) + q*(1-q)/(2R)``. Asymptotically standard normal under
     no association.
     """
-    return _statistic(counts, 0.5, "t")  # T does not use the weight
+    return float(_checked_arrays(counts, 0.5).t)  # T does not use the weight
 
 
 def w_delta_statistic(counts: AlleleCounts, delta_weight: float) -> float:
@@ -273,7 +275,7 @@ def w_delta_statistic(counts: AlleleCounts, delta_weight: float) -> float:
     recovers :func:`w_statistic`.
     """
     check_weight("delta_weight", delta_weight)
-    return _statistic(counts, delta_weight, "w")
+    return float(_checked_arrays(counts, delta_weight).w)
 
 
 def w_statistic(counts: AlleleCounts, pi_hat: float) -> float:
@@ -332,7 +334,7 @@ def w_corrected(
     if delta_weight is None:
         delta_weight = pi_hat
     check_weight("delta_weight", delta_weight)
-    return _statistic(counts, delta_weight, "w_cor", direction)
+    return float(_checked_arrays(counts, delta_weight, direction).w_cor)
 
 
 def q_hat_delta(counts: AlleleCounts, delta_weight: float) -> float:
@@ -344,7 +346,7 @@ def q_hat_delta(counts: AlleleCounts, delta_weight: float) -> float:
     denominator, rescaled by m).
     """
     check_weight("delta_weight", delta_weight)
-    return _statistic(counts, delta_weight, "q_hat")
+    return float(_checked_arrays(counts, delta_weight).q_hat)
 
 
 def q_hat(counts: AlleleCounts, pi_hat: float) -> float:
@@ -361,7 +363,7 @@ def u_statistic(counts: AlleleCounts, pi_hat: float) -> float:
     two while staying asymptotically standard normal under no association.
     """
     check_frequency("pi_hat", pi_hat)
-    return _statistic(counts, pi_hat, "u")
+    return float(_checked_arrays(counts, pi_hat).u)
 
 
 def p_value(stat: float) -> float:
@@ -406,12 +408,16 @@ def effect_size(
     normal interval on the log ratio with independent binomial variances
     ``(1-q)/(2S*q)`` and ``(1-q)/(2R*q)``.
     """
-    z = ci_quantile(ci_level)
+    # This checks ci_level before the table is found degenerate; the ratio uses no weight.
+    report = evaluate_counts(counts, 0.5, ci_level=ci_level)
     _require_nondegenerate(counts)
-    cells, _ = report_columns(_table_arrays(counts, 0.5), z)  # the weight is not used
-    ratio, lo, hi = cells[0, 10:].tolist()
-    return ratio, lo, hi
+    return (report.effect_ratio, *report.effect_ci)
 
+
+# The cells of a marker report, in the order of report_columns' columns and
+# of the scan's output between the id and the flags.
+REPORT_COLUMNS = ("q_hat_ctrl", "q_hat_case", "t", "p_t", "w", "p_w", "w_cor", "u", "p_u",
+                  "q_hat", "effect_ratio", "ci_lo", "ci_hi")
 
 # The flags of a report, by the code that report_columns gives each table.
 REPORT_FLAGS = ((), ("monomorphic",), ("degenerate",), ("degenerate", "undefined_ratio"))
@@ -426,32 +432,42 @@ def _mapped(fn, values: np.ndarray) -> np.ndarray:
 def report_columns(arrays: StatArrays, z: float) -> tuple[np.ndarray, np.ndarray]:
     """Report cells of many tables, and the flags of each.
 
-    Returns an ``(n, 13)`` float array with one row per table: ``q_ctrl,
-    q_case, t, p_t, w, p_w, w_cor, u, p_u, q_hat, ratio, ci_lo, ci_hi``, the
-    columns of ``cli.SCAN_COLUMNS`` between the id and the flags. NaN marks
-    an empty cell, and only flagged tables have any. p-values and interval
-    ends come from ``math``. Degenerate tables get no statistics and p-values
-    of 1.0, monomorphic ones no p-values either. Also returns each table's
-    flags as an index into ``REPORT_FLAGS``, 0 (no flags) for clean tables.
-    ``z`` is the interval's normal quantile.
+    Returns a float array with one row per table and one column per name in
+    ``REPORT_COLUMNS``, in that order. NaN marks an empty cell, and only
+    flagged tables have any. p-values and interval ends come from ``math``.
+    Degenerate tables get no statistics and p-values of 1.0, monomorphic
+    ones no p-values either. Also returns each table's flags as an index
+    into ``REPORT_FLAGS``, 0 (no flags) for clean tables. ``z`` is the
+    interval's normal quantile.
     """
     q_ctrl, q_case, t, w, w_cor, u, qh, se, degenerate, monomorphic = map(np.atleast_1d, arrays)
     ok = ~degenerate
-    cells = np.full((q_ctrl.size, 13), np.nan)
-    # The statistics are NaN where degenerate, as their cells are empty.
-    cells[:, [0, 1, 2, 4, 6, 7, 9]] = np.column_stack((q_ctrl, q_case, t, w, w_cor, u, qh))
-    for col, stat in ((3, t), (5, w)):
-        cells[~monomorphic, col] = 1.0
-        cells[ok, col] = _mapped(math.erfc, np.abs(stat[ok]) / _SQRT2)
-    cells[:, 8] = np.where(qh > 1.0, cells[:, 3], cells[:, 5])  # p_u makes U's pick of T or W
+
+    def of_ok(values):  # a column of values at the tables that are not degenerate
+        column = np.full(ok.shape, np.nan)
+        column[ok] = values
+        return column
+
+    def p_column(stat):  # 1.0 where degenerate, empty where monomorphic
+        column = np.where(monomorphic, np.nan, 1.0)
+        column[ok] = _mapped(math.erfc, np.abs(stat[ok]) / _SQRT2)
+        return column
+
+    p_t, p_w = p_column(t), p_column(w)
     ratio = q_ctrl[ok] / q_case[ok]
     log_ratio, half = _mapped(math.log, ratio), z * se[ok]
-    cells[ok, 10] = ratio
-    cells[ok, 11] = _mapped(math.exp, log_ratio - half)
-    cells[ok, 12] = _mapped(math.exp, log_ratio + half)
+    # The statistics are NaN where degenerate, as their cells are empty.
+    columns = dict(
+        q_hat_ctrl=q_ctrl, q_hat_case=q_case, t=t, p_t=p_t, w=w, p_w=p_w, w_cor=w_cor, u=u,
+        p_u=np.where(qh > 1.0, p_t, p_w),  # U's pick of T or W
+        q_hat=qh,
+        effect_ratio=of_ok(ratio),
+        ci_lo=of_ok(_mapped(math.exp, log_ratio - half)),
+        ci_hi=of_ok(_mapped(math.exp, log_ratio + half)),
+    )
     flags = np.where(monomorphic, 1, np.where(q_case > 0.0, 2, 3))
     flags[ok] = 0
-    return cells, flags
+    return np.column_stack([columns[name] for name in REPORT_COLUMNS]), flags
 
 
 def evaluate_counts(
@@ -471,23 +487,21 @@ def evaluate_counts(
     check_frequency("pi_hat", pi_hat)
     z = ci_quantile(ci_level)
     cells, codes = report_columns(_table_arrays(counts, pi_hat, direction), z)
-    flags = REPORT_FLAGS[codes[0]]
-    q_ctrl, q_case, t, p_t, w, p_w, w_cor, u, p_u, qh, ratio, lo, hi = (
-        None if math.isnan(cell) else cell for cell in cells[0].tolist()
-    )
+    cell = SimpleNamespace(**{name: None if math.isnan(value) else value  # None where empty
+                              for name, value in zip(REPORT_COLUMNS, cells[0].tolist())})
     return TestReport(
-        q_hat_ctrl=q_ctrl,
-        q_hat_case=q_case,
-        t_stat=t,
-        w_stat=w,
-        w_cor_stat=w_cor,
-        u_stat=u,
-        p_t=p_t,
-        p_w=p_w,
-        p_u=p_u,
-        q_hat=qh,
-        effect_ratio=ratio,
-        effect_ci=None if ratio is None else (lo, hi),
+        q_hat_ctrl=cell.q_hat_ctrl,
+        q_hat_case=cell.q_hat_case,
+        t_stat=cell.t,
+        w_stat=cell.w,
+        w_cor_stat=cell.w_cor,
+        u_stat=cell.u,
+        p_t=cell.p_t,
+        p_w=cell.p_w,
+        p_u=cell.p_u,
+        q_hat=cell.q_hat,
+        effect_ratio=cell.effect_ratio,
+        effect_ci=None if cell.effect_ratio is None else (cell.ci_lo, cell.ci_hi),
         degenerate=counts.degenerate,
-        flags=flags,
+        flags=REPORT_FLAGS[codes[0]],
     )

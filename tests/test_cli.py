@@ -25,7 +25,15 @@ from alleletest.cli import (
     parse_counts_file,
 )
 from alleletest.model import DesignConstants, PenetranceModel, delta_bounds
-from alleletest.stats import AlleleCounts, evaluate_counts, two_sided_critical_value
+from alleletest.stats import (
+    REPORT_COLUMNS,
+    AlleleCounts,
+    ci_quantile,
+    evaluate_counts,
+    report_columns,
+    statistic_arrays,
+    two_sided_critical_value,
+)
 from test_power import reference_grid
 
 VALID_FILE = """\
@@ -442,7 +450,7 @@ class TestCanonicalFastPath:
 
 class TestMarkerIds:
     """The ids that ``parse_counts_file`` returns read, by length, by index
-    from either end and by iteration, as ``reference_parse``'s list."""
+    from either end, by slice and by iteration, as ``reference_parse``'s list."""
 
     FORMS = {
         "canonical": lambda text: text,
@@ -468,6 +476,10 @@ class TestMarkerIds:
         for index in (1100, -1101):
             with pytest.raises(IndexError):
                 ids[index]
+        for index in (slice(1, 3), slice(None, None, -1), slice(5, 5), slice(-4, -1),
+                      slice(-1200, 2), slice(-3, None, -2)):
+            assert ids[index] == want[index]
+        assert ids[1:3] == want[1:3] and len(ids[::-1]) == 1100 and ids[7:2] == []
 
 
 class TestScanMemory:
@@ -662,6 +674,43 @@ class TestScanRowsMatchRowLoop:
                 repr(ci_level), "--direction", direction, "--out", str(out), "--no-warn-locality"]
         assert main(argv) == 0
         return out.read_text(encoding="utf-8")
+
+
+class TestReportLayout:
+    """A scan row and a per-table report both lay their cells out by
+    ``stats.REPORT_COLUMNS``."""
+
+    # A clean, a degenerate (no case copy of M1) and a monomorphic table.
+    TABLES = [(290, 1710, 184, 1816), (0, 2000, 5, 1995), (0, 2000, 0, 2000)]
+
+    def test_scan_columns_are_the_id_the_cells_the_flags_and_the_rank(self):
+        assert SCAN_COLUMNS == ("marker_id", *REPORT_COLUMNS, "flags", "w_abs_rank")
+
+    def test_report_columns_gives_one_column_per_name(self):
+        r1, r2, s1, s2 = np.array(self.TABLES).T
+        cells, flags = report_columns(statistic_arrays(r1, r1 + r2, s1, s1 + s2, 0.15), 1.96)
+        assert cells.shape == (len(self.TABLES), len(REPORT_COLUMNS))
+        assert flags.tolist() == [0, 3, 1]
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_each_evaluate_counts_field_is_its_named_cell(self, table):
+        report = evaluate_counts(AlleleCounts(*table), 0.15, ci_level=0.9)
+        r1, r2, s1, s2 = table
+        cells, _ = report_columns(statistic_arrays(r1, r1 + r2, s1, s1 + s2, 0.15), ci_quantile(0.9))
+        ci_lo, ci_hi = report.effect_ci or (None, None)
+        fields = {
+            "q_hat_ctrl": report.q_hat_ctrl, "q_hat_case": report.q_hat_case,
+            "t": report.t_stat, "p_t": report.p_t, "w": report.w_stat, "p_w": report.p_w,
+            "w_cor": report.w_cor_stat, "u": report.u_stat, "p_u": report.p_u,
+            "q_hat": report.q_hat, "effect_ratio": report.effect_ratio,
+            "ci_lo": ci_lo, "ci_hi": ci_hi,
+        }
+        assert list(fields) == list(REPORT_COLUMNS)
+        named = dict(zip(REPORT_COLUMNS, cells[0].tolist()))
+        for name, value in fields.items():
+            cell = named[name]
+            assert math.isnan(cell) if value is None else value == cell, name
+        assert (report.effect_ci is None) == (table != self.TABLES[0])
 
 
 class TestScanCommand:
