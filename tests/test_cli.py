@@ -34,6 +34,7 @@ from alleletest.stats import (
     statistic_arrays,
     two_sided_critical_value,
 )
+from test_golden import run_fresh
 from test_power import reference_grid
 
 VALID_FILE = """\
@@ -1635,6 +1636,25 @@ class TestExitCodes:
     def test_design_too_large_is_validation_error(self, argv, r, capsys):
         assert main([*argv, "--r", r]) == 1
         assert capsys.readouterr().err.startswith("error: design R=")
+
+    # The tests above call main; this runs the module as a script, so the
+    # process's status is main's return only through entry's sys.exit and the
+    # __main__ guard.
+    @pytest.mark.parametrize("argv, status", [
+        (["model", "--p1", "0.1", "--pen", "0.6,0.35,0.1", "--q1", "0.1"], 0),
+        (["power", "--p1", "0.1", "--pen", "0.6,0.35,0.1", "--delta", "0.3", "--s", "500",
+          "--alpha", "1e-8", "--r", str(10**400)], 1),
+        (["scan", "--counts", "MISSING", "--pi-hat", "0.1"], 2),
+        (["model", "--p1", "0.1", "--pen", "0.6,0.35,0.1", "--q1", "0.1", "--delta", "-0.9"], 3),
+    ], ids=["0", "1", "2", "3"])
+    def test_script_exits_with_main_status(self, argv, status, tmp_path):
+        argv = [str(tmp_path / "missing.tsv") if arg == "MISSING" else arg for arg in argv]
+        proc = run_fresh("-m", "alleletest.cli", *argv, status=status)
+        if status == 0:
+            assert proc.stdout and not proc.stderr
+        else:
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+            assert "Traceback" not in proc.stderr
 
     def test_interrupt_is_aborted(self, counts_file, monkeypatch, capsys):
         def interrupt(path):

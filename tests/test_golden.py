@@ -104,13 +104,14 @@ def test_cli_imports_no_scipy(tmp_path):
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
     )
-    _run_fresh(code)
+    run_fresh("-c", code)
 
 
 def test_cli_imports_no_thread_pool():
     # Simulate starts its worker threads itself; no pool, and so none of the
     # modules a pool brings in, is loaded.
-    _run_fresh(
+    run_fresh(
+        "-c",
         "import sys\n"
         "import alleletest.cli\n"
         "loaded = [m for m in ('concurrent.futures', 'logging', 'queue') if m in sys.modules]\n"
@@ -128,7 +129,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
                                                       "--out-json", str(tmp_path / "sim.json")]
     lazy = ["alleletest.power", "alleletest.sim", "alleletest._binomial"]
     steps = [(scan, []), (model, []), (power, lazy[:1]), (simulate, lazy)]
-    _run_fresh(
+    run_fresh(
+        "-c",
         "import sys\n"
         "from alleletest.cli import main\n"
         f"loaded = lambda: [m for m in {lazy!r} if m in sys.modules]\n"
@@ -139,15 +141,17 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     )
 
 
-def _run_fresh(code: str) -> None:
-    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+def run_fresh(*args: str, status: int = 0) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports this checkout's
+    package, and check that it exits with ``status``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == status, proc.stderr
+    return proc
 
 
 def golden_counts(seed: int = 20260417) -> str:
